@@ -29,7 +29,9 @@
 //! * [`StrategyDriver`] — strategy-specific behaviour behind lifecycle
 //!   hooks over a [`SimCtx`] capability handle. The five built-in
 //!   strategies are ~50-line drivers in [`drivers`]; custom drivers run
-//!   on the stock loop via [`FacilitySim::run_with_driver`].
+//!   on the stock loop via [`FacilitySim::run_streamed_probed`] (with
+//!   [`NoProbe`](hpcqc_sched::NoProbe) when no scheduler profile is
+//!   wanted).
 //! * [`SimObserver`] — metrics consumers fed a typed [`SimEvent`]
 //!   stream. Job statistics, waste accounting and Gantt recording are
 //!   built-in observers; attach your own via
@@ -86,6 +88,6 @@ pub use hpcqc_faults::{
 pub use observer::{PhaseKind, SimEvent, SimObserver};
 pub use outcome::{DeviceSummary, Outcome, WasteSummary};
 pub use scenario::{FailureModel, Scenario, ScenarioBuilder, WalltimePolicy};
-pub use sim::{run_strategies, FacilitySim, SimError};
+pub use sim::{FacilitySim, SimError};
 pub use source::{IterSource, JobSource, SliceSource};
 pub use strategy::Strategy;

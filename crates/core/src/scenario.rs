@@ -1,13 +1,14 @@
 //! Scenario configuration: the machine + policy + strategy under test.
 
 use crate::strategy::Strategy;
-use hpcqc_faults::FaultPlan;
+use hpcqc_faults::{FaultPlan, NodeFaults};
 use hpcqc_fleet::FleetSpec;
 use hpcqc_qpu::remote::AccessMode;
 use hpcqc_qpu::technology::Technology;
 use hpcqc_sched::PolicySpec;
 use hpcqc_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// How requested walltimes are enforced.
@@ -37,6 +38,10 @@ impl fmt::Display for WalltimePolicy {
 }
 
 /// Random node failures (failure injection for resilience experiments).
+///
+/// The legacy spelling of a [`FaultPlan`] node section: the simulator
+/// folds it into one via [`FailureModel::node_faults`] (see
+/// [`Scenario::effective_faults`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureModel {
     /// Cluster-wide mean time between node failures, seconds.
@@ -57,6 +62,16 @@ impl FailureModel {
             repair: hpcqc_simcore::dist::Dist::log_normal_mean_cv(1_800.0, 0.5)
                 .clamped(300.0, 14_400.0),
             max_requeues: 3,
+        }
+    }
+
+    /// The fault-plan node section this model is equivalent to: the same
+    /// failure and repair processes and the same requeue budget.
+    pub fn node_faults(&self) -> NodeFaults {
+        NodeFaults {
+            mtbf: self.mtbf.clone(),
+            repair: self.repair.clone(),
+            max_requeues: Some(self.max_requeues),
         }
     }
 }
@@ -81,7 +96,9 @@ impl FailureModel {
 pub struct Scenario {
     /// Nodes in the `classical` partition.
     pub classical_nodes: u32,
-    /// One entry per physical QPU device in the `quantum` partition.
+    /// One entry per physical QPU device in the `quantum` partition, when
+    /// no [`Scenario::fleet`] is set. The simulator normalizes the list to
+    /// a fleet on construction (see [`Scenario::effective_fleet`]).
     pub devices: Vec<Technology>,
     /// Batch-scheduler policy.
     pub policy: PolicySpec,
@@ -101,20 +118,23 @@ pub struct Scenario {
     pub record_gantt: bool,
     /// Walltime enforcement (advisory by default).
     pub walltime_policy: WalltimePolicy,
-    /// Optional random node failures (none by default).
+    /// Optional random node failures (none by default), the legacy form of
+    /// a [`FaultPlan`] node section. The simulator folds it into
+    /// [`Scenario::faults`] on construction (see
+    /// [`Scenario::effective_faults`]).
     pub node_failures: Option<FailureModel>,
     /// Optional heterogeneous QPU fleet. When set it supersedes
-    /// [`Scenario::devices`]: the simulator builds the named devices and
-    /// routes every kernel through the fleet's
-    /// [`RoutePolicy`](hpcqc_fleet::RoutePolicy). `None` keeps the legacy
-    /// single-technology-list path, which is byte-identical to wrapping
-    /// the list via [`FleetSpec::from_legacy`].
+    /// [`Scenario::devices`]. Either way the simulator builds a fleet and
+    /// routes every kernel through its
+    /// [`RoutePolicy`](hpcqc_fleet::RoutePolicy): `None` stands for the
+    /// device list wrapped via [`FleetSpec::from_legacy`].
     pub fleet: Option<FleetSpec>,
     /// Optional dependability plan: node/device fault processes,
     /// calibration drift, transient kernel errors and the recovery policy
-    /// countering them. When set, its node section supersedes
-    /// [`Scenario::node_failures`]. `None` (or an inert plan) leaves the
-    /// simulation byte-identical to a fault-free run.
+    /// countering them. Its node section supersedes
+    /// [`Scenario::node_failures`]; when it has none, the legacy model
+    /// fills it. `None` (or an inert plan) leaves the simulation
+    /// byte-identical to a fault-free run.
     pub faults: Option<FaultPlan>,
 }
 
@@ -127,30 +147,51 @@ impl Scenario {
         }
     }
 
-    /// How many QPU devices the simulator will build: the fleet's device
-    /// count when a fleet is set, the legacy technology list's otherwise.
-    pub fn device_count(&self) -> usize {
-        self.fleet
-            .as_ref()
-            .map_or(self.devices.len(), |f| f.devices.len())
+    /// The fleet the simulator builds: [`Scenario::fleet`] when set, the
+    /// legacy device list wrapped via [`FleetSpec::from_legacy`]
+    /// otherwise (one `qpu{i}` device per entry, routed pin-first).
+    pub fn effective_fleet(&self) -> Cow<'_, FleetSpec> {
+        match &self.fleet {
+            Some(fleet) => Cow::Borrowed(fleet),
+            None => Cow::Owned(FleetSpec::from_legacy(&self.devices)),
+        }
     }
 
-    /// The label of device `index` (`qpu{i}` on the legacy path, the
-    /// fleet device's name otherwise; `qpu{i}` for an out-of-range
-    /// index).
+    /// The fault plan the simulator runs: [`Scenario::faults`], with the
+    /// legacy [`Scenario::node_failures`] folded into an absent node
+    /// section. `None` when neither is set.
+    pub fn effective_faults(&self) -> Option<FaultPlan> {
+        let legacy = self.node_failures.as_ref().map(FailureModel::node_faults);
+        match &self.faults {
+            Some(plan) => {
+                let mut plan = plan.clone();
+                plan.node = plan.node.or(legacy);
+                Some(plan)
+            }
+            None => legacy.map(|node| FaultPlan::default().node(node)),
+        }
+    }
+
+    /// How many QPU devices the simulator will build.
+    pub fn device_count(&self) -> usize {
+        self.effective_fleet().devices.len()
+    }
+
+    /// The label of device `index` (the effective fleet's device name;
+    /// `qpu{i}` for an out-of-range index).
     pub fn device_label(&self, index: usize) -> String {
-        self.fleet
-            .as_ref()
-            .and_then(|f| f.devices.get(index))
+        self.effective_fleet()
+            .devices
+            .get(index)
             .map_or_else(|| format!("qpu{index}"), |d| d.name.clone())
     }
 
     /// The technology of device `index` (`None` when out of range).
     pub fn device_technology(&self, index: usize) -> Option<Technology> {
-        match &self.fleet {
-            Some(f) => f.devices.get(index).map(|d| d.technology),
-            None => self.devices.get(index).copied(),
-        }
+        self.effective_fleet()
+            .devices
+            .get(index)
+            .map(|d| d.technology)
     }
 }
 
@@ -283,14 +324,15 @@ impl ScenarioBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if there are zero classical nodes or zero devices.
+    /// Panics if there are zero classical nodes or the effective fleet
+    /// has zero devices.
     pub fn build(self) -> Scenario {
         assert!(
             self.inner.classical_nodes > 0,
             "scenario needs classical nodes"
         );
         assert!(
-            !self.inner.devices.is_empty(),
+            self.inner.device_count() > 0,
             "scenario needs at least one QPU device"
         );
         self.inner
@@ -358,5 +400,57 @@ mod tests {
     #[should_panic(expected = "QPU device")]
     fn zero_devices_panics() {
         let _ = Scenario::builder().devices(vec![]).build();
+    }
+
+    #[test]
+    fn fleet_supplies_devices_for_an_empty_list() {
+        use hpcqc_fleet::FleetDevice;
+        let fleet = FleetSpec::new("solo").device(FleetDevice::new("ion", Technology::TrappedIon));
+        let s = Scenario::builder().devices(vec![]).fleet(fleet).build();
+        assert_eq!(s.device_count(), 1);
+        assert_eq!(s.device_label(0), "ion");
+        assert_eq!(s.device_technology(0), Some(Technology::TrappedIon));
+    }
+
+    #[test]
+    fn effective_fleet_wraps_the_legacy_list() {
+        let s = Scenario::builder()
+            .devices(vec![Technology::Superconducting, Technology::NeutralAtom])
+            .build();
+        assert_eq!(
+            *s.effective_fleet(),
+            FleetSpec::from_legacy(&[Technology::Superconducting, Technology::NeutralAtom])
+        );
+        assert_eq!(s.device_label(1), "qpu1");
+        assert_eq!(s.device_label(7), "qpu7", "out of range");
+        assert_eq!(s.device_technology(1), Some(Technology::NeutralAtom));
+        assert_eq!(s.device_technology(2), None);
+    }
+
+    #[test]
+    fn effective_faults_folds_the_legacy_failure_model() {
+        let model = FailureModel::exponential(3_600.0);
+        let mut s = Scenario::builder().build();
+        assert_eq!(s.effective_faults(), None);
+
+        s.node_failures = Some(model.clone());
+        let folded = s.effective_faults().expect("legacy model becomes a plan");
+        assert_eq!(folded.node, Some(model.node_faults()));
+        assert_eq!(
+            folded.node.as_ref().map(NodeFaults::requeue_budget),
+            Some(3)
+        );
+        assert!(folded.device.is_none() && folded.recovery.is_none());
+
+        // A plan without a node section takes the legacy model...
+        s.faults = Some(FaultPlan::named("devices-only"));
+        let merged = s.effective_faults().expect("plan set");
+        assert_eq!(merged.label(), "devices-only");
+        assert_eq!(merged.node, Some(model.node_faults()));
+
+        // ...and a plan with one supersedes it.
+        let own = NodeFaults::exponential(600.0, 60.0);
+        s.faults = Some(FaultPlan::named("nodes").node(own.clone()));
+        assert_eq!(s.effective_faults().and_then(|p| p.node), Some(own));
     }
 }

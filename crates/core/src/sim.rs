@@ -22,7 +22,6 @@ use crate::observer::{
 use crate::outcome::{DeviceSummary, Outcome, WasteSummary};
 use crate::scenario::Scenario;
 use crate::source::{JobSource, SliceSource};
-use crate::strategy::Strategy;
 use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
 use hpcqc_cluster::error::ClusterError;
@@ -297,11 +296,12 @@ pub(crate) struct SimState<'o> {
     cluster: Cluster,
     scheduler: BatchScheduler,
     devices: Vec<QpuDevice>,
-    /// The routing layer, when the scenario carries a [`FleetSpec`]
-    /// (`None` = legacy single-access-mode path).
-    ///
-    /// [`FleetSpec`]: hpcqc_fleet::FleetSpec
-    fleet: Option<QpuFleet>,
+    /// The routing layer over `devices`, built from the scenario's
+    /// [effective fleet](Scenario::effective_fleet).
+    fleet: QpuFleet,
+    /// The scenario's [effective fault plan](Scenario::effective_faults),
+    /// kept only when it injects something: `None` runs fault-free.
+    faults: Option<FaultPlan>,
     events: EventQueue<Event>,
     /// Live jobs only, keyed by raw [`JobId`]: inserted when pulled from
     /// the source, removed at finalization. Never iterated (determinism).
@@ -352,8 +352,9 @@ pub(crate) struct SimState<'o> {
 }
 
 /// The facility simulator. Construct via [`FacilitySim::run`],
-/// [`FacilitySim::run_observed`], [`FacilitySim::run_with_driver`] or the
-/// streaming variants ([`FacilitySim::run_streamed`] and friends).
+/// [`FacilitySim::run_observed`] or the streaming variants
+/// ([`FacilitySim::run_streamed`] and friends). A custom
+/// [`StrategyDriver`] runs through [`FacilitySim::run_streamed_probed`].
 #[derive(Debug)]
 pub struct FacilitySim<'o> {
     state: SimState<'o>,
@@ -384,30 +385,8 @@ impl<'o> FacilitySim<'o> {
         workload: &Workload,
         observers: &'o mut [&'o mut dyn SimObserver],
     ) -> Result<Outcome, SimError> {
-        FacilitySim::run_with_driver(
-            scenario,
-            workload,
-            driver_for(&scenario.strategy),
-            observers,
-        )
-    }
-
-    /// Runs under a caller-supplied [`StrategyDriver`] instead of the
-    /// built-in driver for `scenario.strategy` (which is then ignored).
-    /// This is the fully open end of the API: any allocation discipline
-    /// expressible through the driver hooks runs on the unmodified loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`FacilitySim::run`].
-    pub fn run_with_driver(
-        scenario: &Scenario,
-        workload: &Workload,
-        driver: Box<dyn StrategyDriver>,
-        observers: &'o mut [&'o mut dyn SimObserver],
-    ) -> Result<Outcome, SimError> {
         let mut source = SliceSource::from(workload);
-        FacilitySim::run_streamed_with_driver(scenario, &mut source, driver, observers)
+        FacilitySim::run_streamed_observed(scenario, &mut source, observers)
     }
 
     /// Runs a streamed workload to completion: jobs are pulled lazily from
@@ -435,35 +414,27 @@ impl<'o> FacilitySim<'o> {
         source: &mut dyn JobSource,
         observers: &'o mut [&'o mut dyn SimObserver],
     ) -> Result<Outcome, SimError> {
-        FacilitySim::run_streamed_with_driver(
+        FacilitySim::run_streamed_probed(
             scenario,
             source,
             driver_for(&scenario.strategy),
             observers,
+            &mut NoProbe,
         )
     }
 
-    /// Streaming variant of [`FacilitySim::run_with_driver`] — the one
-    /// entry point every other `run_*` delegates to.
+    /// The one entry point every other `run_*` delegates to: a streamed
+    /// run under a caller-supplied [`StrategyDriver`] (the scenario's
+    /// `strategy` is then ignored) with a scheduler [`CycleProbe`]
+    /// attached. Any allocation discipline expressible through the driver
+    /// hooks runs on the unmodified loop; pass [`NoProbe`] when only the
+    /// driver is custom.
     ///
-    /// # Errors
-    ///
-    /// See [`FacilitySim::run`].
-    pub fn run_streamed_with_driver(
-        scenario: &Scenario,
-        source: &mut dyn JobSource,
-        driver: Box<dyn StrategyDriver>,
-        observers: &'o mut [&'o mut dyn SimObserver],
-    ) -> Result<Outcome, SimError> {
-        FacilitySim::run_streamed_probed(scenario, source, driver, observers, &mut NoProbe)
-    }
-
-    /// [`FacilitySim::run_streamed_with_driver`] with a scheduler
-    /// [`CycleProbe`] attached: every planning cycle reports its queue
-    /// depth, phase boundaries and start/hold outcome to `probe`. The
-    /// probe only watches — simulation results are byte-identical to the
-    /// unprobed run (see `hpcqc-trace`'s `SchedProfiler` for the
-    /// wall-clock profiler built on this hook).
+    /// Every planning cycle reports its queue depth, phase boundaries and
+    /// start/hold outcome to `probe`. The probe only watches — simulation
+    /// results are byte-identical to the unprobed run (see
+    /// `hpcqc-trace`'s `SchedProfiler` for the wall-clock profiler built
+    /// on this hook).
     ///
     /// # Errors
     ///
@@ -486,87 +457,60 @@ impl<'o> FacilitySim<'o> {
         Ok(sim.into_outcome())
     }
 
+    /// Builds the simulator. Legacy inputs are normalized here, once: the
+    /// devices come from the scenario's effective fleet, the fault
+    /// processes from its effective fault plan.
     fn new(
         scenario: Scenario,
         driver: Box<dyn StrategyDriver>,
         extras: &'o mut [&'o mut dyn SimObserver],
     ) -> Self {
-        let gres_units = driver.gres_per_device() * scenario.device_count() as u32;
+        let fleet = QpuFleet::new(scenario.effective_fleet().into_owned());
+        let faults = scenario.effective_faults().filter(|p| !p.is_inert());
+        let gres_units = driver.gres_per_device() * fleet.len() as u32;
         let cluster = ClusterBuilder::new()
             .partition("classical", scenario.classical_nodes)
             .partition_with_gres("quantum", 0, GresKind::qpu(), gres_units)
             .build(SimTime::ZERO);
         let root = SimRng::seed_from(scenario.seed);
-        // Device construction must fork the root RNG identically on both
-        // paths (`fork_indexed("device", i)`): a legacy device list
-        // wrapped via `FleetSpec::from_legacy` then yields bit-identical
-        // devices, which the byte-identity tests lock in.
-        let devices: Vec<QpuDevice> = match &scenario.fleet {
-            Some(fleet) => fleet
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let mut dev = QpuDevice::new(
-                        d.name.clone(),
-                        d.technology,
-                        root.fork_indexed("device", i as u64),
-                    );
-                    if let Some(qubits) = d.qubits {
-                        dev = dev.with_qubits(qubits);
-                    }
-                    if !d.calibration.unwrap_or(scenario.device_calibration) {
-                        dev = dev.with_calibration(None);
-                    }
-                    dev
-                })
-                .collect(),
-            None => scenario
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, &tech)| {
-                    let dev = QpuDevice::new(
-                        format!("qpu{i}"),
-                        tech,
-                        root.fork_indexed("device", i as u64),
-                    );
-                    if scenario.device_calibration {
-                        dev
-                    } else {
-                        dev.with_calibration(None)
-                    }
-                })
-                .collect(),
-        };
-        let fleet = scenario.fleet.clone().map(QpuFleet::new);
+        // One RNG stream per device index (`fork_indexed("device", i)`).
+        let devices: Vec<QpuDevice> = fleet
+            .spec()
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut dev = QpuDevice::new(
+                    d.name.clone(),
+                    d.technology,
+                    root.fork_indexed("device", i as u64),
+                );
+                if let Some(qubits) = d.qubits {
+                    dev = dev.with_qubits(qubits);
+                }
+                if !d.calibration.unwrap_or(scenario.device_calibration) {
+                    dev = dev.with_calibration(None);
+                }
+                dev
+            })
+            .collect();
         let mut events = EventQueue::new();
         let scheduler = BatchScheduler::new(scenario.policy);
         let waste_obs = WasteObserver::new(
             SimTime::ZERO,
             f64::from(scenario.classical_nodes),
-            scenario.device_count() as f64,
+            devices.len() as f64,
         );
         let gantt_obs = scenario.record_gantt.then(GanttObserver::new);
         let mut failure_rng = root.fork("failures");
-        // The fault plan's node section supersedes the legacy model; both
-        // draw from the same "failures" stream, so a plan mirroring the
-        // legacy model replays the legacy failure trajectory.
-        let node_mtbf = scenario
-            .faults
-            .as_ref()
-            .and_then(|p| p.node.as_ref())
-            .map(|n| &n.mtbf)
-            .or(scenario.node_failures.as_ref().map(|m| &m.mtbf));
-        if let Some(mtbf) = node_mtbf {
-            let first = mtbf.sample_duration(&mut failure_rng);
+        if let Some(node) = faults.as_ref().and_then(|p| p.node.as_ref()) {
+            let first = node.mtbf.sample_duration(&mut failure_rng);
             events.schedule(SimTime::ZERO + first, Event::NodeFailure);
         }
         let mut device_fault_rngs: Vec<SimRng> = (0..devices.len())
             .map(|i| root.fork_indexed("device-faults", i as u64))
             .collect();
-        if let Some((mtbf, _)) = scenario
-            .faults
+        if let Some((mtbf, _)) = faults
             .as_ref()
             .and_then(|p| p.device.as_ref())
             .and_then(DeviceFaults::outage_process)
@@ -590,6 +534,7 @@ impl<'o> FacilitySim<'o> {
                 scheduler,
                 devices,
                 fleet,
+                faults,
                 events,
                 jobs: JobMap::default(),
                 queue_map: BTreeMap::new(),
@@ -792,22 +737,17 @@ impl<'o> SimState<'o> {
     }
 
     /// Fails a uniformly random up-node; the owning job (if any) is killed
-    /// and requeued within the failure budget. Schedules the repair and the
-    /// next failure. The fault plan's node section supersedes the legacy
-    /// [`FailureModel`](crate::scenario::FailureModel); with a plan active
-    /// the requeue additionally books rewound work and resumes from the
-    /// last classical checkpoint when checkpoint-restart is configured.
+    /// and requeued within the node section's budget. Schedules the repair
+    /// and the next failure. The requeue books rewound work and resumes
+    /// from the last classical checkpoint when checkpoint-restart is
+    /// configured.
     fn on_node_failure(
         &mut self,
         driver: &mut dyn StrategyDriver,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let plan_node = self.scenario.faults.as_ref().and_then(|p| p.node.clone());
-        let (mtbf, repair, budget, faulted) = match (plan_node, self.scenario.node_failures.clone())
-        {
-            (Some(n), _) => (n.mtbf.clone(), n.repair.clone(), n.requeue_budget(), true),
-            (None, Some(m)) => (m.mtbf, m.repair, m.max_requeues, false),
-            (None, None) => return Ok(()),
+        let Some(node) = self.faults.as_ref().and_then(|p| p.node.clone()) else {
+            return Ok(());
         };
         // Pick among currently-up nodes (failed ones cannot fail again).
         let up: Vec<_> = self
@@ -818,44 +758,26 @@ impl<'o> SimState<'o> {
             .map(|n| n.id())
             .collect();
         if !up.is_empty() {
-            let node = *self.failure_rng.pick(&up);
-            let owner = self.cluster.fail_node(node)?;
+            let failed = *self.failure_rng.pick(&up);
+            let owner = self.cluster.fail_node(failed)?;
             self.failures_injected += 1;
-            emit!(self, now, SimEvent::NodeFailed { node });
-            let repair_in = repair.sample_duration(&mut self.failure_rng);
+            emit!(self, now, SimEvent::NodeFailed { node: failed });
+            let repair_in = node.repair.sample_duration(&mut self.failure_rng);
             self.events
-                .schedule(now + repair_in, Event::NodeRepair(node));
-            if let Some(alloc) = owner {
-                if let Some(&job) = self.alloc_owner.get(&alloc) {
-                    if faulted {
-                        self.requeue_after_node_fault(driver, job, budget, now)?;
-                    } else {
-                        // Legacy path: byte-identical to the pre-fault-plan
-                        // simulator (no restart event, phase reset to 0).
-                        self.abort_attempt(driver, job, now)?;
-                        let run = self.live_mut(job);
-                        if run.requeues < budget {
-                            run.requeues += 1;
-                            run.phase_idx = 0;
-                            run.prev_phase_end = None;
-                            run.device = None;
-                            self.on_submit(driver, job, now)?;
-                        } else {
-                            self.finalize(job, now, false);
-                        }
-                    }
-                }
+                .schedule(now + repair_in, Event::NodeRepair(failed));
+            if let Some(&job) = owner.and_then(|alloc| self.alloc_owner.get(&alloc)) {
+                self.requeue_after_node_fault(driver, job, node.requeue_budget(), now)?;
             }
         }
-        let next = mtbf.sample_duration(&mut self.failure_rng);
+        let next = node.mtbf.sample_duration(&mut self.failure_rng);
         self.events.schedule(now + next, Event::NodeFailure);
         Ok(())
     }
 
-    /// Fault-plan requeue after a node failure took out the job's
-    /// allocation: with checkpoint-restart configured the job keeps its
-    /// phase index and rewinds to the last durable checkpoint; otherwise
-    /// it restarts from phase 0 and the whole attempt's work is rewound.
+    /// Requeue after a node failure took out the job's allocation: with
+    /// checkpoint-restart configured the job keeps its phase index and
+    /// rewinds to the last durable checkpoint; otherwise it restarts from
+    /// phase 0 and the whole attempt's work is rewound.
     fn requeue_after_node_fault(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -927,27 +849,22 @@ impl<'o> SimState<'o> {
 
     // ----- fault machinery -------------------------------------------------
 
-    /// The scenario's fault plan, when it actually injects something.
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.scenario.faults.as_ref().filter(|p| !p.is_inert())
-    }
-
     /// The active device fault process, if any.
     fn device_faults(&self) -> Option<&DeviceFaults> {
-        self.fault_plan().and_then(|p| p.device.as_ref())
+        self.faults.as_ref().and_then(|p| p.device.as_ref())
     }
 
     /// The effective recovery policy (defaults when the plan omits one).
     fn recovery(&self) -> RecoverySpec {
-        self.scenario
-            .faults
+        self.faults
             .as_ref()
             .map_or_else(RecoverySpec::default, FaultPlan::recovery_or_default)
     }
 
     /// Checkpoint-restart configuration, when an active plan enables it.
     fn checkpoint_cfg(&self) -> Option<CheckpointSpec> {
-        self.fault_plan()
+        self.faults
+            .as_ref()
             .and_then(|p| p.recovery.as_ref())
             .and_then(|r| r.checkpoint.clone())
     }
@@ -956,6 +873,17 @@ impl<'o> SimState<'o> {
     /// injection (outage or forced recalibration).
     fn device_injected_down(&self, device: usize) -> bool {
         self.device_down.get(device).copied().unwrap_or(0) > 0
+    }
+
+    /// `true` when the fleet spec takes `device` out of service for the
+    /// whole run.
+    fn spec_down(&self, device: usize) -> bool {
+        self.fleet
+            .spec()
+            .devices
+            .get(device)
+            .and_then(|d| d.down)
+            .unwrap_or(false)
     }
 
     /// Adjusts the injected-downtime counter for `device` and mirrors the
@@ -971,16 +899,8 @@ impl<'o> SimState<'o> {
             *counter = counter.saturating_sub(1);
         }
         let injected = *counter > 0;
-        let spec_down = self
-            .scenario
-            .fleet
-            .as_ref()
-            .and_then(|f| f.devices.get(device))
-            .and_then(|d| d.down)
-            .unwrap_or(false);
-        if let Some(fleet) = &mut self.fleet {
-            fleet.set_down(device, spec_down || injected);
-        }
+        let down = injected || self.spec_down(device);
+        self.fleet.set_down(device, down);
     }
 
     /// A QPU outage: the device leaves service, in-flight kernels on it
@@ -1342,70 +1262,41 @@ impl<'o> SimState<'o> {
         qid
     }
 
-    /// Devices with enough qubits for every kernel of the job — and, when
-    /// a fleet is present, in service with a shot capacity covering the
-    /// job's largest kernel. Jobs without quantum phases are compatible
-    /// with all devices.
-    fn eligible_devices(&self, job: JobId) -> Vec<usize> {
-        let spec = &self.live(job).spec;
-        let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
-        let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(i, d)| {
-                d.qubits() >= need
-                    && self.fleet.as_ref().is_none_or(|f| {
-                        !f.is_down(*i) && f.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-                    })
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Binds a granted gres token to a *capable* device: round-robin over
-    /// the job's eligible device list, so heterogeneous facilities (e.g. a
-    /// 12-qubit spin-qubit device next to a 127-qubit transmon) never route
-    /// an oversized kernel to a small device.
+    /// the in-service devices with enough qubits for every kernel of the
+    /// job and a shot cap covering its largest kernel, so heterogeneous
+    /// facilities (e.g. a 12-qubit spin-qubit device next to a 127-qubit
+    /// transmon) never route an oversized kernel to a small device.
     ///
     /// # Errors
     ///
     /// [`SimError::Qpu`] when no device can run the job's kernels.
     fn bind_device(&self, job: JobId, unit: u32) -> Result<usize, SimError> {
-        let eligible = self.eligible_devices(job);
+        let spec = &self.live(job).spec;
+        let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
+        let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
+        let capable: Vec<usize> = (0..self.devices.len())
+            .filter(|&i| {
+                self.devices[i].qubits() >= need
+                    && self.fleet.shot_capacity(i).unwrap_or(u32::MAX) >= shots
+            })
+            .collect();
+        let mut eligible: Vec<usize> = capable
+            .iter()
+            .copied()
+            .filter(|&i| !self.fleet.is_down(i))
+            .collect();
+        // With fault injection, every capable device may be transiently
+        // down right at bind time. Bind among the capable devices that are
+        // not *permanently* out (spec'd down); dispatch parks until one
+        // returns to service.
+        if eligible.is_empty() && self.faults.is_some() {
+            eligible = capable
+                .into_iter()
+                .filter(|&i| !self.spec_down(i))
+                .collect();
+        }
         if eligible.is_empty() {
-            let spec = &self.live(job).spec;
-            let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
-            let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
-            // With fault injection, every capable device may be transiently
-            // down right at bind time. Bind among the capable devices that
-            // are not *permanently* out (spec'd down); dispatch parks until
-            // one returns to service.
-            if self.fault_plan().is_some() {
-                let fallback: Vec<usize> =
-                    self.devices
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, d)| {
-                            let spec_down = self
-                                .scenario
-                                .fleet
-                                .as_ref()
-                                .and_then(|f| f.devices.get(*i))
-                                .and_then(|fd| fd.down)
-                                .unwrap_or(false);
-                            d.qubits() >= need
-                                && !spec_down
-                                && self.fleet.as_ref().is_none_or(|f| {
-                                    f.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-                                })
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
-                if !fallback.is_empty() {
-                    return Ok(fallback[unit as usize % fallback.len()]);
-                }
-            }
             let best = self
                 .devices
                 .iter()
@@ -1779,101 +1670,51 @@ impl<'o> SimState<'o> {
         // device that ran the failed attempt — or wait until it returns.
         if self.live(job).kernel_attempts > 0 && !self.recovery().failover_enabled() {
             if let Some(prev) = self.live(job).last_exec_device {
-                let up = !self.device_injected_down(prev)
-                    && self.fleet.as_ref().is_none_or(|f| f.serves(prev, kernel));
-                if up {
+                if self.fleet.serves(prev, kernel) {
                     return self.dispatch_kernel(job, kernel, prev, now);
                 }
                 return self.park_for_recovery(job, now);
             }
         }
-        // Whether a *capable* device is merely transiently out of service
-        // (fault-injected outage or recalibration). Distinguishes "park
-        // and retry" from genuinely fatal routing failures.
-        let transient_down = self.devices.iter().enumerate().any(|(i, d)| {
-            d.qubits() >= kernel.qubits() && self.device_down.get(i).copied().unwrap_or(0) > 0
-        });
-        // Pick the device. With a fleet, the routing policy decides over a
-        // snapshot of the live devices (the job's gres-bound device, if
-        // any, arrives as the pin). Without one — the legacy path — the
-        // bound gres unit wins when the job holds a token, else the
-        // earliest-free capable device. `None` means every capable device
-        // is transiently down: park the kernel for fault recovery.
-        let bound = self.live(job).device;
-        let pick = match &mut self.fleet {
-            Some(fleet) => {
-                let routable = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .any(|(i, d)| d.qubits() >= kernel.qubits() && fleet.serves(i, kernel));
-                if routable {
-                    Some(
-                        fleet
-                            .route(kernel, now, &self.devices, bound.map(DeviceId::new))
-                            .index(),
-                    )
-                } else if transient_down {
-                    None
-                } else {
-                    // Distinguish "no device is large enough" (the legacy
-                    // error) from fleet-metadata refusals (down devices,
-                    // shot caps).
-                    let best = self
-                        .devices
-                        .iter()
-                        .map(QpuDevice::qubits)
-                        .max()
-                        .unwrap_or(0);
-                    return Err(SimError::Qpu(if best < kernel.qubits() {
-                        QpuError::KernelTooLarge {
-                            requested: kernel.qubits(),
-                            available: best,
-                        }
-                    } else {
-                        QpuError::DeviceOffline {
-                            reason: format!(
-                                "no routable device in fleet `{}` for kernel `{}` \
-                                 ({} shots)",
-                                fleet.spec().name,
-                                kernel.name(),
-                                kernel.shots()
-                            ),
-                        }
-                    }));
-                }
+        let routable = (0..self.devices.len())
+            .any(|i| self.devices[i].qubits() >= kernel.qubits() && self.fleet.serves(i, kernel));
+        if !routable {
+            // Every capable device merely transiently out of service
+            // (fault-injected outage or recalibration): park and retry.
+            let transient_down = (0..self.devices.len()).any(|i| {
+                self.devices[i].qubits() >= kernel.qubits() && self.device_injected_down(i)
+            });
+            if transient_down {
+                return self.park_for_recovery(job, now);
             }
-            None => match bound {
-                Some(d) if !self.device_injected_down(d) => Some(d),
-                Some(_) => None,
-                None => {
-                    let eligible = self.eligible_devices(job);
-                    let best = eligible
-                        .iter()
-                        .copied()
-                        .filter(|&i| !self.device_injected_down(i))
-                        .min_by_key(|&i| (self.devices[i].next_free(), i));
-                    match best {
-                        Some(i) => Some(i),
-                        None if transient_down => None,
-                        None => {
-                            return Err(SimError::Qpu(QpuError::KernelTooLarge {
-                                requested: kernel.qubits(),
-                                available: self
-                                    .devices
-                                    .iter()
-                                    .map(QpuDevice::qubits)
-                                    .max()
-                                    .unwrap_or(0),
-                            }))
-                        }
-                    }
+            // Distinguish "no device is large enough" from fleet-metadata
+            // refusals (down devices, shot caps).
+            let best = self
+                .devices
+                .iter()
+                .map(QpuDevice::qubits)
+                .max()
+                .unwrap_or(0);
+            return Err(SimError::Qpu(if best < kernel.qubits() {
+                QpuError::KernelTooLarge {
+                    requested: kernel.qubits(),
+                    available: best,
                 }
-            },
-        };
-        let Some(device_idx) = pick else {
-            return self.park_for_recovery(job, now);
-        };
+            } else {
+                QpuError::DeviceOffline {
+                    reason: format!(
+                        "no routable device in fleet `{}` for kernel `{}` ({} shots)",
+                        self.fleet.spec().name,
+                        kernel.name(),
+                        kernel.shots()
+                    ),
+                }
+            }));
+        }
+        // The routing policy decides over a snapshot of the live devices;
+        // the job's gres-bound device, if any, arrives as the pin.
+        let bound = self.live(job).device.map(DeviceId::new);
+        let device_idx = self.fleet.route(kernel, now, &self.devices, bound).index();
         self.dispatch_kernel(job, kernel, device_idx, now)
     }
 
@@ -1909,15 +1750,11 @@ impl<'o> SimState<'o> {
         self.live_mut(job).last_exec_device = Some(device_idx);
         let exec = self.devices[device_idx].enqueue(kernel, now)?;
         // Access-model overhead: a fleet device's own access mode wins;
-        // otherwise the scenario-wide mode applies (so a legacy wrap
-        // samples the shared access RNG in exactly the legacy order).
+        // otherwise the scenario-wide mode applies.
         let overhead = {
-            let access = self
-                .scenario
-                .fleet
+            let access = self.fleet.spec().devices[device_idx]
+                .access
                 .as_ref()
-                .and_then(|f| f.devices.get(device_idx))
-                .and_then(|d| d.access.as_ref())
                 .or(self.scenario.access.as_ref());
             match access {
                 Some(access) => access.sample_overhead(&mut self.access_rng),
@@ -2374,30 +2211,10 @@ impl<'o> SimState<'o> {
     }
 }
 
-/// Runs the same workload under several strategies (common random numbers:
-/// identical workload, identical device seeds) and returns the outcomes.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] encountered.
-pub fn run_strategies(
-    base: &Scenario,
-    workload: &Workload,
-    strategies: &[Strategy],
-) -> Result<Vec<(Strategy, Outcome)>, SimError> {
-    strategies
-        .iter()
-        .map(|&strategy| {
-            let mut scenario = base.clone();
-            scenario.strategy = strategy;
-            FacilitySim::run(&scenario, workload).map(|o| (strategy, o))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
     use hpcqc_qpu::technology::Technology;
     use hpcqc_qpu::timing::TimingModel;
     use hpcqc_simcore::dist::Dist;
@@ -2636,17 +2453,6 @@ mod tests {
         ]);
         let out = FacilitySim::run(&sc, &w).unwrap();
         assert!(out.devices[0].recalibration_seconds > 0.0);
-    }
-
-    #[test]
-    fn run_strategies_covers_all() {
-        let w = Workload::from_jobs(vec![hybrid_job("h", 4, 2, 0)]);
-        let base = scenario(Strategy::CoSchedule);
-        let results = run_strategies(&base, &w, &Strategy::representative_set()).unwrap();
-        assert_eq!(results.len(), 4);
-        for (_, o) in &results {
-            assert_eq!(o.stats.len(), 1);
-        }
     }
 
     #[test]
@@ -2933,11 +2739,12 @@ mod tests {
         }
         let w = Workload::from_jobs(vec![hybrid_job("h", 4, 2, 0)]);
         let stock = FacilitySim::run(&scenario(Strategy::CoSchedule), &w).unwrap();
-        let custom = FacilitySim::run_with_driver(
+        let custom = FacilitySim::run_streamed_probed(
             &scenario(Strategy::Workflow),
-            &w,
+            &mut SliceSource::from(&w),
             Box::new(AlwaysCoSchedule),
             &mut [],
+            &mut NoProbe,
         )
         .unwrap();
         assert_eq!(stock.makespan, custom.makespan);
@@ -3034,11 +2841,14 @@ mod tests {
     #[test]
     fn adaptive_beats_worst_fixed_on_crossover_mix() {
         let w = crossover_workload();
-        let base = scenario(Strategy::CoSchedule);
-        let fixed = run_strategies(&base, &w, &Strategy::representative_set()).unwrap();
-        let worst = fixed
-            .iter()
-            .map(|(_, o)| o.stats.mean_turnaround_secs())
+        let worst = Strategy::representative_set()
+            .into_iter()
+            .map(|strategy| {
+                FacilitySim::run(&scenario(strategy), &w)
+                    .unwrap()
+                    .stats
+                    .mean_turnaround_secs()
+            })
             .fold(f64::MIN, f64::max);
         let adaptive = FacilitySim::run(&scenario(Strategy::Adaptive { vqpus: 4 }), &w).unwrap();
         assert!(

@@ -1,22 +1,26 @@
-//! Fleet integration tests: the byte-identity contract of the legacy
-//! wrap, and the observable behaviour of the built-in routing policies
-//! threaded through the full simulator.
+//! Fleet integration tests: the normalization of legacy inputs, and the
+//! observable behaviour of the built-in routing policies threaded through
+//! the full simulator.
 //!
-//! The load-bearing guarantee is the first one: a scenario whose device
+//! The load-bearing guarantees are the first two. A scenario whose device
 //! list is wrapped via [`FleetSpec::from_legacy`] must produce the same
 //! serialized [`Outcome`] bytes *and* the same observer event stream as
-//! the fleetless path — the fleet layer is a strict superset, not a
-//! rewrite, of the pre-fleet simulator.
+//! the bare list, with or without device faults. A legacy
+//! [`FailureModel`] must simulate exactly like the [`FaultPlan`] node
+//! section it is folded into. The simulator has one device path and one
+//! node-failure model; legacy inputs are normalized onto them.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
-use hpcqc_core::scenario::Scenario;
+use hpcqc_core::scenario::{FailureModel, Scenario};
 use hpcqc_core::sim::{FacilitySim, SimError};
 use hpcqc_core::strategy::Strategy;
+use hpcqc_faults::{DeviceFaults, DriftModel, FaultPlan, NodeFaults, RecoverySpec};
 use hpcqc_fleet::{FleetDevice, FleetSpec, RouteSpec};
 use hpcqc_qpu::remote::AccessMode;
 use hpcqc_qpu::technology::Technology;
 use hpcqc_qpu::Kernel;
+use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::campaign::Workload;
 use hpcqc_workload::job::{JobSpec, Phase};
@@ -77,9 +81,40 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
-/// The tentpole guarantee: wrapping a legacy device list in a one-device
-/// (or multi-device) fleet changes nothing — outcome bytes and the event
-/// stream are identical.
+/// The device fault plans the legacy wrap must be invariant under: none,
+/// outages, calibration drift and transient kernel errors.
+fn device_fault_plans() -> Vec<Option<FaultPlan>> {
+    let recovery = RecoverySpec::new()
+        .max_kernel_retries(20)
+        .retry_backoff_secs(15.0)
+        .max_requeues(50);
+    vec![
+        None,
+        Some(
+            FaultPlan::named("outages")
+                .device(
+                    DeviceFaults::new()
+                        .mtbf(Dist::exponential(900.0))
+                        .repair(Dist::exponential(300.0)),
+                )
+                .recovery(recovery.clone()),
+        ),
+        Some(
+            FaultPlan::named("drift")
+                .device(DeviceFaults::new().drift(DriftModel::new(4e-4, 0.5)))
+                .recovery(recovery.clone()),
+        ),
+        Some(
+            FaultPlan::named("kernel-errors")
+                .device(DeviceFaults::new().kernel_error_rate(0.2))
+                .recovery(recovery),
+        ),
+    ]
+}
+
+/// Wrapping a legacy device list in a one-device (or multi-device) fleet
+/// changes nothing — outcome bytes and the event stream are identical —
+/// under every device fault plan.
 #[test]
 fn legacy_wrap_is_byte_identical() {
     let device_lists = [
@@ -87,37 +122,111 @@ fn legacy_wrap_is_byte_identical() {
         vec![Technology::Superconducting, Technology::TrappedIon],
     ];
     let workload = contended_workload();
+    let mut mismatches = Vec::new();
+    let mut cases = 0;
     for devices in &device_lists {
+        for faults in device_fault_plans() {
+            for strategy in strategies() {
+                let mut legacy = Scenario::builder()
+                    .classical_nodes(16)
+                    .devices(devices.clone())
+                    .strategy(strategy)
+                    .seed(99)
+                    .build();
+                legacy.faults = faults.clone();
+                let mut wrapped = legacy.clone();
+                wrapped.fleet = Some(FleetSpec::from_legacy(devices));
+
+                let mut trace_a = EventTrace::default();
+                let a = FacilitySim::run_observed(&legacy, &workload, &mut [&mut trace_a]).unwrap();
+                let mut trace_b = EventTrace::default();
+                let b =
+                    FacilitySim::run_observed(&wrapped, &workload, &mut [&mut trace_b]).unwrap();
+                cases += 1;
+                if outcome_bytes(&a) != outcome_bytes(&b) || trace_a.entries != trace_b.entries {
+                    mismatches.push(format!(
+                        "{strategy} over {} devices, faults `{}`",
+                        devices.len(),
+                        faults.as_ref().map_or("none", FaultPlan::label)
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {cases} cases: the wrapped fleet must serialize and emit \
+         byte-identically to the bare device list:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// Records the event stream minus [`SimEvent::JobRestarted`], which it
+/// only counts.
+#[derive(Debug, Default)]
+struct TraceWithoutRestarts {
+    trace: EventTrace,
+    restarts: usize,
+}
+
+impl SimObserver for TraceWithoutRestarts {
+    fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+        if matches!(event, SimEvent::JobRestarted { .. }) {
+            self.restarts += 1;
+        } else {
+            self.trace.on_event(now, event);
+        }
+    }
+}
+
+/// A legacy [`FailureModel`] simulates exactly like the [`FaultPlan`] node
+/// section it is folded into: same outcome bytes, same events apart from
+/// the [`SimEvent::JobRestarted`] that books a requeue's rewound work.
+#[test]
+fn failure_model_matches_its_fault_plan_node_section() {
+    let model = FailureModel {
+        mtbf: Dist::exponential(1_200.0),
+        repair: Dist::constant(300.0),
+        max_requeues: 2,
+    };
+    let node = NodeFaults {
+        mtbf: model.mtbf.clone(),
+        repair: model.repair.clone(),
+        max_requeues: Some(model.max_requeues),
+    };
+    let workload = contended_workload();
+    let mut restarts = 0;
+    for seed in [3, 99] {
         for strategy in strategies() {
-            let legacy = Scenario::builder()
+            let mut legacy = Scenario::builder()
                 .classical_nodes(16)
-                .devices(devices.clone())
                 .strategy(strategy)
-                .seed(99)
+                .seed(seed)
+                .node_failures(model.clone())
                 .build();
-            let mut wrapped = legacy.clone();
-            wrapped.fleet = Some(FleetSpec::from_legacy(devices));
+            let mut planned = legacy.clone();
+            planned.node_failures = None;
+            planned.faults = Some(FaultPlan::named("nodes").node(node.clone()));
+            legacy.faults = None;
 
-            let mut trace_a = EventTrace::default();
+            let mut trace_a = TraceWithoutRestarts::default();
             let a = FacilitySim::run_observed(&legacy, &workload, &mut [&mut trace_a]).unwrap();
-            let mut trace_b = EventTrace::default();
-            let b = FacilitySim::run_observed(&wrapped, &workload, &mut [&mut trace_b]).unwrap();
-
+            let mut trace_b = TraceWithoutRestarts::default();
+            let b = FacilitySim::run_observed(&planned, &workload, &mut [&mut trace_b]).unwrap();
             assert_eq!(
                 outcome_bytes(&a),
                 outcome_bytes(&b),
-                "{strategy} over {} devices: wrapped fleet must serialize \
-                 byte-identically to the legacy path",
-                devices.len()
+                "{strategy}, seed {seed}: outcomes must be byte-identical"
             );
             assert_eq!(
-                trace_a.entries,
-                trace_b.entries,
-                "{strategy} over {} devices: event streams must match",
-                devices.len()
+                trace_a.trace.entries, trace_b.trace.entries,
+                "{strategy}, seed {seed}: event streams must match"
             );
+            restarts += trace_b.restarts;
         }
     }
+    assert!(restarts > 0, "node failures must requeue some jobs");
 }
 
 /// The wrap stays byte-identical with the stochastic knobs on: an access

@@ -34,8 +34,9 @@ pub struct FaultPlan {
     /// Human-readable label, used in sweep-grid CSV columns and CLI tables.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub name: Option<String>,
-    /// Classical node fault process; `None` falls back to the scenario's
-    /// legacy `FailureModel`, if any.
+    /// Classical node fault process. When `None`, a scenario's legacy
+    /// `FailureModel` (if any) is folded in here as the simulation is
+    /// built, so the simulator only ever reads this section.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub node: Option<NodeFaults>,
     /// QPU device fault process, applied uniformly to every device with
@@ -128,8 +129,10 @@ impl fmt::Display for FaultPlan {
 
 /// Classical node fault process: MTBF + repair, plus a requeue budget.
 ///
-/// A superset of `hpcqc-core`'s legacy `FailureModel`; when both are set on
-/// a scenario the `FaultPlan` wins.
+/// The one node-failure model the simulator runs. `hpcqc-core`'s legacy
+/// `FailureModel` is normalized into it on construction (same processes,
+/// `max_requeues: Some(model.max_requeues)`); when a scenario sets both,
+/// this section wins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeFaults {
     /// Time between node failures (facility-wide process).

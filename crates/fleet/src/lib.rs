@@ -19,10 +19,11 @@
 //! it and, for every quantum kernel, snapshots the live devices into a
 //! [`FleetCtx`] and lets the policy pick the [`DeviceId`] to enqueue on.
 //!
-//! Legacy scenarios — one access mode, no fleet — are the degenerate
-//! case: [`FleetSpec::from_legacy`] wraps them into a
-//! [`policies::PinFirst`]-routed fleet that simulates byte-identically
-//! to the pre-fleet code path.
+//! Legacy scenarios — a bare technology list, no fleet — are the
+//! degenerate case: the simulator normalizes them on construction, via
+//! [`FleetSpec::from_legacy`], into a [`policies::PinFirst`]-routed fleet
+//! of one device per list entry. There is one device path; a single-QPU
+//! site is a fleet of one.
 
 pub mod ctx;
 pub mod fleet;

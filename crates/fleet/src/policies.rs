@@ -2,8 +2,8 @@
 //! [`TechAffinity`].
 //!
 //! All three decide over the same [`FleetCtx`] capability handle; they
-//! differ only in what they optimize. [`PinFirst`] reproduces the
-//! pre-fleet simulator byte-for-byte, [`LeastLoaded`] minimizes queue
+//! differ only in what they optimize. [`PinFirst`] honours the device a
+//! job's scheduler allocation bound it to, [`LeastLoaded`] minimizes queue
 //! wait, [`TechAffinity`] minimizes on-device execution time with
 //! failover around recalibration windows and downed devices.
 
@@ -13,7 +13,7 @@ use hpcqc_qpu::kernel::Kernel;
 use std::cmp::Ordering;
 
 /// The earliest-free routable device, ties broken by index — the
-/// selection rule the pre-fleet simulator applied to unpinned kernels.
+/// selection rule for unpinned kernels.
 /// Falls back to device 0 if nothing is routable (the simulator has
 /// already failed the job in that case).
 fn earliest_free(kernel: &Kernel, ctx: &FleetCtx<'_>) -> DeviceId {
@@ -22,13 +22,13 @@ fn earliest_free(kernel: &Kernel, ctx: &FleetCtx<'_>) -> DeviceId {
         .unwrap_or(DeviceId::new(0))
 }
 
-/// Reproduces the single-device-era behaviour: a kernel whose job was
-/// bound to a device by its scheduler allocation stays there; unbound
-/// kernels take the earliest-free capable device.
+/// A kernel whose job was bound to a device by its scheduler allocation
+/// stays there while the device can serve it; otherwise (unbound, or the
+/// bound device down or over its shot cap) it takes the earliest-free
+/// routable device.
 ///
-/// With a one-device fleet this is exactly the legacy path, which is
-/// what keeps legacy scenarios byte-identical under a wrapping
-/// [`FleetSpec`](crate::FleetSpec).
+/// This is the route of the fleet a legacy device list normalizes to
+/// ([`FleetSpec::from_legacy`](crate::FleetSpec::from_legacy)).
 #[derive(Debug, Default)]
 pub struct PinFirst;
 

@@ -20,8 +20,8 @@ use std::str::FromStr;
 /// Every knob except the name and technology is optional; `None` falls
 /// back to the technology default (`qubits`), "unlimited"
 /// (`shot_capacity`), the scenario-wide setting (`calibration`,
-/// `access`) or "in service" (`down`). A device wrapping the legacy
-/// single-QPU path therefore needs only a name and a technology.
+/// `access`) or "in service" (`down`). A device a legacy device list
+/// normalizes to therefore needs only a name and a technology.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetDevice {
     /// Device label (trace track name, summary lines; must be unique in
@@ -99,7 +99,7 @@ impl FleetDevice {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteSpec {
     /// Honour the job's bound device, otherwise pick the
-    /// earliest-free capable device — exactly the pre-fleet behaviour.
+    /// earliest-free capable device (see [`policies::PinFirst`]).
     #[default]
     PinFirst,
     /// Ignore pins; per kernel, pick the capable in-service device that
@@ -247,9 +247,9 @@ impl FleetSpec {
 
     /// The fleet equivalent of a legacy device list: one `qpu{i}` device
     /// per technology, every optional knob inherited from the scenario,
-    /// routed [`RouteSpec::PinFirst`]. Simulating a scenario wrapped this
-    /// way is byte-identical to the pre-fleet path (locked by the golden
-    /// fixture and `legacy_wrap` tests).
+    /// routed [`RouteSpec::PinFirst`]. A scenario without a fleet is
+    /// normalized to this one when the simulator is built (locked by the
+    /// golden fixtures and the `legacy_wrap` tests).
     pub fn from_legacy(devices: &[Technology]) -> Self {
         FleetSpec {
             name: "legacy".to_string(),

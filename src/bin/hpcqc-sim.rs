@@ -1323,11 +1323,9 @@ fn devices(args: &[String]) -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|s| serde_json::from_str::<Scenario>(&s).map_err(|e| e.to_string()))
         {
-            Ok(sc) => sc
-                .fleet
-                // A fleetless scenario still has devices: show them as the
-                // one-device-per-technology fleet the simulator builds.
-                .unwrap_or_else(|| FleetSpec::from_legacy(&sc.devices)),
+            // A fleetless scenario still has devices: show the fleet the
+            // simulator builds from them.
+            Ok(sc) => sc.effective_fleet().into_owned(),
             Err(e) => {
                 eprintln!("cannot load scenario {path}: {e}");
                 return ExitCode::FAILURE;

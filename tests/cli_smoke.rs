@@ -480,6 +480,26 @@ fn explain_blames_the_queue_wait_by_cause() {
     );
 }
 
+/// The `explain` cause table on the contended example is pinned byte for
+/// byte (`tests/fixtures/explain_contended_cause.csv`).
+#[test]
+fn explain_cause_table_matches_golden_fixture() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["explain", "--workload"])
+        .arg(contended_workload())
+        .args(["--by", "cause", "--format", "csv"])
+        .output()
+        .expect("explain runs");
+    assert!(out.status.success(), "explain failed: {out:?}");
+    let golden = include_str!("fixtures/explain_contended_cause.csv");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout == golden,
+        "explain table drifted from tests/fixtures/explain_contended_cause.csv.\n\
+         --- golden ---\n{golden}\n--- current ---\n{stdout}"
+    );
+}
+
 #[test]
 fn explain_rejects_unknown_by_dimension() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
@@ -550,6 +570,32 @@ fn scenario_file_with_broken_policy_knobs_fails_gracefully() {
         "must not panic on a bad scenario policy: {stderr}"
     );
     std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+/// `devices --scenario` on a fleetless scenario lists the fleet the
+/// simulator builds from its device list: one `qpu{i}` per technology.
+#[test]
+fn devices_shows_a_fleetless_scenario_as_its_effective_fleet() {
+    use hpcqc::prelude::*;
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_devices_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = Scenario::builder()
+        .devices(vec![Technology::Superconducting, Technology::TrappedIon])
+        .build();
+    let path = dir.join("fleetless.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .arg("devices")
+        .arg("--scenario")
+        .arg(&path)
+        .output()
+        .expect("devices runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for needle in ["qpu0", "qpu1", "pin-first"] {
+        assert!(stdout.contains(needle), "`{needle}` missing: {stdout}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
