@@ -6,8 +6,8 @@
 //! integration, so utilization figures in the experiments carry no sampling
 //! error.
 
-use crate::alloc::{AllocRequest, AllocatedGroup, Allocation};
-use crate::error::ClusterError;
+use crate::alloc::{AllocRequest, AllocatedGroup, Allocation, GroupRequest};
+use crate::error::{ClusterError, Shortfall};
 use crate::gres::GresKind;
 use crate::ids::{AllocationId, NodeId, PartitionId};
 use crate::node::{Node, NodeShape, NodeState};
@@ -174,6 +174,28 @@ pub struct Cluster {
     gres_busy: BTreeMap<(PartitionId, GresKind), BusyTracker>,
 }
 
+/// The first way a request misses free capacity, in the order
+/// [`Cluster::can_allocate`] reports it. It borrows from the request, so
+/// finding it allocates nothing; the owned [`ClusterError`] is built from
+/// it only when a caller asks for one.
+enum Miss<'r> {
+    Empty,
+    UnknownPartition(&'r str),
+    Nodes {
+        pid: PartitionId,
+        requested: u32,
+        available: u32,
+        gres_also_short: bool,
+    },
+    /// `available` is `None` when the partition has no such pool.
+    Gres {
+        pid: PartitionId,
+        kind: &'r GresKind,
+        requested: u32,
+        available: Option<u32>,
+    },
+}
+
 impl Cluster {
     /// The time accounting started.
     pub fn start(&self) -> SimTime {
@@ -249,49 +271,143 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// The error identifies the first unsatisfiable group.
+    /// The error identifies the first unsatisfiable group: an empty
+    /// request, else the first unknown partition in group order, else the
+    /// lowest-id partition short of nodes, else the first missing or short
+    /// gres pool by `(partition id, kind)`.
     pub fn can_allocate(&self, request: &AllocRequest) -> Result<(), ClusterError> {
+        match self.first_miss(request) {
+            None => Ok(()),
+            Some(miss) => Err(self.error_of(miss)),
+        }
+    }
+
+    /// Classifies `request` against free capacity right now: `None` exactly
+    /// when [`Cluster::can_allocate`] succeeds, otherwise the kind of its
+    /// error. Unlike `can_allocate` it allocates nothing and formats
+    /// nothing, so a scheduler can ask it of every held job on every cycle.
+    pub fn shortfall(&self, request: &AllocRequest) -> Option<Shortfall> {
+        self.first_miss(request).map(|miss| match miss {
+            Miss::Empty | Miss::UnknownPartition(_) => Shortfall::Invalid,
+            Miss::Nodes {
+                gres_also_short, ..
+            } => Shortfall::Nodes { gres_also_short },
+            Miss::Gres { .. } => Shortfall::Gres,
+        })
+    }
+
+    /// The one accumulation pass behind [`Cluster::can_allocate`] and
+    /// [`Cluster::shortfall`]. Demands on the same partition or pool
+    /// accumulate across groups: each is totalled once, at its first
+    /// mention, by rescanning the (few) groups instead of building maps.
+    fn first_miss<'r>(&self, request: &'r AllocRequest) -> Option<Miss<'r>> {
         if request.is_empty() {
-            return Err(ClusterError::EmptyRequest);
+            return Some(Miss::Empty);
         }
-        // Demands on the same partition/pool accumulate across groups.
-        let mut node_need: BTreeMap<PartitionId, u32> = BTreeMap::new();
-        let mut gres_need: BTreeMap<(PartitionId, GresKind), u32> = BTreeMap::new();
-        for g in request.groups() {
-            let pid = self.pid(&g.partition)?;
-            *node_need.entry(pid).or_default() += g.nodes;
-            for (kind, n) in &g.gres {
-                *gres_need.entry((pid, kind.clone())).or_default() += n;
+        let groups = request.groups();
+        // The lowest-id partition short of nodes, and the lowest
+        // `(partition id, kind)` pool missing or short, with their counts.
+        let mut nodes_short: Option<(PartitionId, u32, u32)> = None;
+        let mut gres_short: Option<(PartitionId, &'r GresKind, u32, Option<u32>)> = None;
+        let mut bearing_gres_short = false;
+        for (i, g) in groups.iter().enumerate() {
+            let Some(&pid) = self.by_name.get(g.partition.as_str()) else {
+                return Some(Miss::UnknownPartition(&g.partition));
+            };
+            let same_partition = |h: &&GroupRequest| h.partition == g.partition;
+            // The groups that add to a demand first mentioned by group `i`.
+            let from_here = || groups[i..].iter().filter(same_partition);
+            if !groups[..i].iter().any(|h| same_partition(&h)) {
+                let need: u32 = from_here().map(|h| h.nodes).sum();
+                let have = self.free[pid.raw() as usize].len() as u32;
+                if have < need && nodes_short.is_none_or(|(first, ..)| pid < first) {
+                    nodes_short = Some((pid, need, have));
+                }
+            }
+            for (k, (kind, _)) in g.gres.iter().enumerate() {
+                let names_kind = |h: &GroupRequest| h.gres.iter().any(|(other, _)| other == kind);
+                let seen = groups[..i]
+                    .iter()
+                    .any(|h| same_partition(&h) && names_kind(h))
+                    || g.gres[..k].iter().any(|(other, _)| other == kind);
+                if seen {
+                    continue;
+                }
+                let need: u32 = from_here()
+                    .flat_map(|h| &h.gres)
+                    .filter(|(other, _)| other == kind)
+                    .map(|(_, n)| n)
+                    .sum();
+                let available = self.partitions[pid.raw() as usize]
+                    .gres_pool(kind)
+                    .map(|pool| pool.available());
+                if available.is_some_and(|have| have >= need) {
+                    continue;
+                }
+                bearing_gres_short |=
+                    from_here().any(|h| names_kind(h) && h.gres.iter().any(|(_, n)| *n > 0));
+                if gres_short
+                    .is_none_or(|(first, first_kind, ..)| (pid, kind) < (first, first_kind))
+                {
+                    gres_short = Some((pid, kind, need, available));
+                }
             }
         }
-        for (pid, need) in &node_need {
-            let have = self.free[pid.raw() as usize].len() as u32;
-            if have < *need {
-                return Err(ClusterError::InsufficientNodes {
-                    partition: self.partitions[pid.raw() as usize].name().to_string(),
-                    requested: *need,
-                    available: have,
-                });
-            }
+        if let Some((pid, requested, available)) = nodes_short {
+            return Some(Miss::Nodes {
+                pid,
+                requested,
+                available,
+                gres_also_short: bearing_gres_short,
+            });
         }
-        for ((pid, kind), need) in &gres_need {
-            let part = &self.partitions[pid.raw() as usize];
-            let pool = part
-                .gres_pool(kind)
-                .ok_or_else(|| ClusterError::NoSuchGres {
-                    partition: part.name().to_string(),
-                    kind: kind.clone(),
-                })?;
-            if pool.available() < *need {
-                return Err(ClusterError::InsufficientGres {
-                    partition: part.name().to_string(),
-                    kind: kind.clone(),
-                    requested: *need,
-                    available: pool.available(),
-                });
+        gres_short.map(|(pid, kind, requested, available)| Miss::Gres {
+            pid,
+            kind,
+            requested,
+            available,
+        })
+    }
+
+    /// The owned error [`Cluster::can_allocate`] reports for `miss`.
+    fn error_of(&self, miss: Miss<'_>) -> ClusterError {
+        let name = |pid: PartitionId| self.partitions[pid.raw() as usize].name().to_string();
+        match miss {
+            Miss::Empty => ClusterError::EmptyRequest,
+            Miss::UnknownPartition(partition) => {
+                ClusterError::UnknownPartition(partition.to_string())
             }
+            Miss::Nodes {
+                pid,
+                requested,
+                available,
+                ..
+            } => ClusterError::InsufficientNodes {
+                partition: name(pid),
+                requested,
+                available,
+            },
+            Miss::Gres {
+                pid,
+                kind,
+                requested,
+                available: Some(available),
+            } => ClusterError::InsufficientGres {
+                partition: name(pid),
+                kind: kind.clone(),
+                requested,
+                available,
+            },
+            Miss::Gres {
+                pid,
+                kind,
+                available: None,
+                ..
+            } => ClusterError::NoSuchGres {
+                partition: name(pid),
+                kind: kind.clone(),
+            },
         }
-        Ok(())
     }
 
     /// Atomically grants `request` at time `now`.

@@ -88,6 +88,30 @@ impl fmt::Display for ClusterError {
 
 impl Error for ClusterError {}
 
+/// Why a request cannot be granted right now, as classified by
+/// [`Cluster::shortfall`](crate::Cluster::shortfall): the kind of the
+/// [`ClusterError`] that [`Cluster::can_allocate`](crate::Cluster::can_allocate)
+/// would return, without its names and counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Shortfall {
+    /// Some partition has too few free schedulable nodes
+    /// ([`ClusterError::InsufficientNodes`]); nodes are checked before
+    /// any gres pool.
+    Nodes {
+        /// `true` if the gres is short as well: some pool named by a group
+        /// that asks for at least one gres unit is missing or has too few
+        /// free units for the request's accumulated demand.
+        gres_also_short: bool,
+    },
+    /// Every partition has the nodes, but a gres pool is missing or short
+    /// ([`ClusterError::NoSuchGres`] or [`ClusterError::InsufficientGres`]).
+    Gres,
+    /// The request can never be granted as written: it asks for nothing
+    /// ([`ClusterError::EmptyRequest`]) or names an unknown partition
+    /// ([`ClusterError::UnknownPartition`]).
+    Invalid,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

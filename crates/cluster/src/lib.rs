@@ -56,7 +56,7 @@ pub mod partition;
 
 pub use alloc::{AllocRequest, AllocatedGroup, Allocation, GroupRequest};
 pub use cluster::{Cluster, ClusterBuilder};
-pub use error::ClusterError;
+pub use error::{ClusterError, Shortfall};
 pub use gres::{GresKind, GresPool};
 pub use ids::{AllocationId, NodeId, PartitionId};
 pub use node::{Node, NodeShape, NodeState};

@@ -137,9 +137,13 @@ impl Profile {
     /// is optimistically assumed to finish imminently — re-planning happens
     /// on every completion event anyway, and real starts always re-validate
     /// against the live cluster).
-    pub fn build(now: SimTime, mut current_free: Demand, releases: &[(SimTime, Demand)]) -> Self {
+    pub fn build<'a>(
+        now: SimTime,
+        mut current_free: Demand,
+        releases: impl IntoIterator<Item = (SimTime, &'a Demand)>,
+    ) -> Self {
         let mut events: Vec<(SimTime, &Demand)> =
-            releases.iter().map(|(t, d)| ((*t).max(now), d)).collect();
+            releases.into_iter().map(|(t, d)| (t.max(now), d)).collect();
         events.sort_by_key(|(t, _)| *t);
         let mut times = vec![now];
         let mut free = vec![current_free.clone()];
@@ -312,9 +316,9 @@ mod tests {
         let p = Profile::build(
             SimTime::ZERO,
             free(2),
-            &[
-                (SimTime::from_secs(10), free(3)),
-                (SimTime::from_secs(20), free(5)),
+            [
+                (SimTime::from_secs(10), &free(3)),
+                (SimTime::from_secs(20), &free(5)),
             ],
         );
         assert_eq!(p.segments(), 3);
@@ -325,7 +329,7 @@ mod tests {
 
     #[test]
     fn find_slot_waits_for_release() {
-        let p = Profile::build(SimTime::ZERO, free(2), &[(SimTime::from_secs(30), free(4))]);
+        let p = Profile::build(SimTime::ZERO, free(2), [(SimTime::from_secs(30), &free(4))]);
         // 4 nodes fit only after the release at t=30.
         assert_eq!(
             p.find_slot(&demand(4), SimDuration::from_secs(100), SimTime::ZERO),
@@ -345,7 +349,7 @@ mod tests {
 
     #[test]
     fn reservation_blocks_slot() {
-        let mut p = Profile::build(SimTime::ZERO, free(4), &[]);
+        let mut p = Profile::build(SimTime::ZERO, free(4), []);
         p.reserve(
             &demand(3),
             SimTime::from_secs(50),
@@ -366,7 +370,7 @@ mod tests {
 
     #[test]
     fn fits_checks_whole_span() {
-        let p = Profile::build(SimTime::ZERO, free(4), &[]);
+        let p = Profile::build(SimTime::ZERO, free(4), []);
         let mut p2 = p.clone();
         p2.reserve(
             &demand(4),
@@ -385,13 +389,13 @@ mod tests {
     #[test]
     fn past_releases_clamped_to_now() {
         let now = SimTime::from_secs(100);
-        let p = Profile::build(now, free(1), &[(SimTime::from_secs(50), free(9))]);
+        let p = Profile::build(now, free(1), [(SimTime::from_secs(50), &free(9))]);
         assert_eq!(p.free_at(now).nodes_in("classical"), 10);
     }
 
     #[test]
     fn empty_demand_fits_anywhere() {
-        let p = Profile::build(SimTime::ZERO, free(0), &[]);
+        let p = Profile::build(SimTime::ZERO, free(0), []);
         assert_eq!(
             p.find_slot(
                 &Demand::new(),

@@ -34,20 +34,22 @@ impl QueuePolicy for ConservativeBackfill {
         profile: &mut Profile,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
+        let live = ctx.live_check(&job.request);
         let slot = profile.find_slot(demand, job.walltime, ctx.now());
         if slot > ctx.now() {
             // Reserve its future slot so later jobs cannot delay it.
             profile.reserve(demand, slot, job.walltime);
             // Fits the live machine but not the reservation timeline →
             // an earlier job's reservation is what the job waits on.
-            Verdict::Hold(match ctx.hold_reason(&job.request) {
-                HoldReason::PolicyHold => HoldReason::HeadShadow,
-                reason => reason,
+            Verdict::Hold(match live {
+                Ok(()) | Err(HoldReason::PolicyHold) => HoldReason::HeadShadow,
+                Err(reason) => reason,
             })
-        } else if ctx.can_allocate(&job.request) {
-            Verdict::Start
         } else {
-            Verdict::Hold(ctx.hold_reason(&job.request))
+            match live {
+                Ok(()) => Verdict::Start,
+                Err(reason) => Verdict::Hold(reason),
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Strict first-come-first-served.
 
 use crate::demand::{Demand, Profile};
-use crate::policy::{sort_multifactor, QueuePolicy, SchedCtx, Verdict};
+use crate::policy::{sort_multifactor, HoldReason, QueuePolicy, SchedCtx, Verdict};
 use crate::scheduler::PendingJob;
 
 /// Strict FCFS: the queue (in priority order) starts from the front until
@@ -40,12 +40,11 @@ impl QueuePolicy for Fcfs {
         _profile: &mut Profile,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        if !self.blocked && ctx.can_allocate(&job.request) {
-            Verdict::Start
-        } else {
-            // `hold_reason` reads `policy-hold` exactly when the machine
-            // would fit the job — i.e. pure head-of-line blocking.
-            Verdict::Hold(ctx.hold_reason(&job.request))
+        match ctx.live_check(&job.request) {
+            Ok(()) if !self.blocked => Verdict::Start,
+            // The machine would fit the job: pure head-of-line blocking.
+            Ok(()) => Verdict::Hold(HoldReason::PolicyHold),
+            Err(reason) => Verdict::Hold(reason),
         }
     }
 

@@ -34,6 +34,10 @@ pub use quantum::QuantumAware;
 /// live cluster can place starts; afterwards a job may only backfill —
 /// start now without delaying the head's reservation already carved into
 /// the profile.
+///
+/// The live check runs first and its failure is the hold reason; the
+/// profile walk runs only for a job the machine could place right now,
+/// and only once the head is blocked.
 pub(crate) fn easy_admit(
     head_blocked: bool,
     job: &PendingJob,
@@ -41,22 +45,19 @@ pub(crate) fn easy_admit(
     profile: &mut Profile,
     ctx: &SchedCtx<'_>,
 ) -> Verdict {
-    let can_start = if head_blocked {
-        profile.find_slot(demand, job.walltime, ctx.now()) == ctx.now()
-            && ctx.can_allocate(&job.request)
-    } else {
-        ctx.can_allocate(&job.request)
-    };
-    if can_start {
-        Verdict::Start
-    } else {
-        // Name the binding cause: a live resource shortage when there is
-        // one; otherwise the machine would fit the job right now and only
-        // the head's shadow reservation stands in the way.
-        Verdict::Hold(match ctx.hold_reason(&job.request) {
-            HoldReason::PolicyHold if head_blocked => HoldReason::HeadShadow,
-            reason => reason,
-        })
+    match ctx.live_check(&job.request) {
+        Ok(())
+            if !head_blocked || profile.find_slot(demand, job.walltime, ctx.now()) == ctx.now() =>
+        {
+            Verdict::Start
+        }
+        // The machine would fit the job right now; only the head's shadow
+        // reservation stands in the way.
+        Ok(()) => Verdict::Hold(HoldReason::HeadShadow),
+        // A request no capacity can judge (empty, or naming an unknown
+        // partition) is blamed on the shadow too, like a job that fits.
+        Err(HoldReason::PolicyHold) if head_blocked => Verdict::Hold(HoldReason::HeadShadow),
+        Err(reason) => Verdict::Hold(reason),
     }
 }
 

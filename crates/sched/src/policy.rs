@@ -45,12 +45,12 @@
 //!         _profile: &mut Profile,
 //!         ctx: &SchedCtx<'_>,
 //!     ) -> Verdict {
-//!         if ctx.can_allocate(&job.request) {
-//!             Verdict::Start
-//!         } else {
-//!             // `hold_reason` names the binding shortage for the
-//!             // attribution layer (insufficient nodes, QPU tokens, …).
-//!             Verdict::Hold(ctx.hold_reason(&job.request))
+//!         // One live check decides the job: its failure already names
+//!         // the binding shortage for the attribution layer
+//!         // (insufficient nodes, QPU tokens, …).
+//!         match ctx.live_check(&job.request) {
+//!             Ok(()) => Verdict::Start,
+//!             Err(reason) => Verdict::Hold(reason),
 //!         }
 //!     }
 //! }
@@ -81,9 +81,9 @@ use crate::demand::{Demand, Profile};
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
 use crate::scheduler::PendingJob;
-use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
+use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
-use hpcqc_cluster::error::ClusterError;
+use hpcqc_cluster::error::Shortfall;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -95,7 +95,7 @@ use std::str::FromStr;
 /// waiting instead of running — the causal label behind every hold.
 ///
 /// The first four variants are produced by queue policies at scheduling
-/// cycles (see [`SchedCtx::hold_reason`] for the resource
+/// cycles (see [`SchedCtx::live_check`] for the resource
 /// classification); the `Device*` variants are reserved for the fleet /
 /// device layer, which reuses this vocabulary so one cause taxonomy
 /// spans batch-queue waits and intra-QPU waits.
@@ -154,6 +154,23 @@ impl HoldReason {
             HoldReason::DeviceRecalibrating => "device-recalibrating",
             HoldReason::DeviceDown => "device-down",
             HoldReason::FaultRecovery => "fault-recovery",
+        }
+    }
+}
+
+impl From<Shortfall> for HoldReason {
+    /// The hold a live-capacity shortfall causes; see
+    /// [`SchedCtx::live_check`] for the gres tie-break.
+    fn from(shortfall: Shortfall) -> Self {
+        match shortfall {
+            Shortfall::Nodes {
+                gres_also_short: false,
+            } => HoldReason::InsufficientNodes,
+            Shortfall::Nodes {
+                gres_also_short: true,
+            }
+            | Shortfall::Gres => HoldReason::InsufficientGres,
+            Shortfall::Invalid => HoldReason::PolicyHold,
         }
     }
 }
@@ -222,15 +239,11 @@ impl<'a> SchedCtx<'a> {
         )
     }
 
-    /// `true` if the live cluster can satisfy `request` right now.
-    pub fn can_allocate(&self, request: &AllocRequest) -> bool {
-        self.cluster.can_allocate(request).is_ok()
-    }
-
-    /// Classifies why `request` is not running right now: the binding
-    /// resource shortage, or [`HoldReason::PolicyHold`] when the live
-    /// cluster could satisfy it (the hold is the policy's own doing).
-    /// Purely read-only — calling it cannot perturb a scheduling cycle.
+    /// The single live classification of `request`: `Ok(())` if the live
+    /// cluster can satisfy it right now, else the [`HoldReason`] naming
+    /// the binding shortage. One allocation-free pass over the request
+    /// ([`Cluster::shortfall`]), so a policy that calls it once per job
+    /// gets both its start decision and its hold reason from it.
     ///
     /// When *both* the node pool and the request's gres tokens are
     /// exhausted, the gres wins the blame: even a cluster with infinite
@@ -238,38 +251,36 @@ impl<'a> SchedCtx<'a> {
     /// constraint. (Nodes recycle every few minutes as batch jobs drain;
     /// a co-scheduled QPU token is pinned for a whole hybrid campaign —
     /// attributing the scarcer, slower-recycling resource is what makes
-    /// the wait ledger actionable.)
-    pub fn hold_reason(&self, request: &AllocRequest) -> HoldReason {
-        match self.cluster.can_allocate(request) {
-            Ok(()) => HoldReason::PolicyHold,
-            Err(ClusterError::InsufficientNodes { .. }) => {
-                if self.gres_also_blocked(request) {
-                    HoldReason::InsufficientGres
-                } else {
-                    HoldReason::InsufficientNodes
-                }
-            }
-            Err(ClusterError::InsufficientGres { .. } | ClusterError::NoSuchGres { .. }) => {
-                HoldReason::InsufficientGres
-            }
-            Err(_) => HoldReason::PolicyHold,
+    /// the wait ledger actionable.) A request that can never be granted
+    /// as written (empty, or naming an unknown partition) reads
+    /// [`HoldReason::PolicyHold`].
+    ///
+    /// # Errors
+    ///
+    /// The hold reason, when the request does not fit right now.
+    pub fn live_check(&self, request: &AllocRequest) -> Result<(), HoldReason> {
+        match self.cluster.shortfall(request) {
+            None => Ok(()),
+            Some(shortfall) => Err(shortfall.into()),
         }
     }
 
-    /// `true` if the gres-only residue of `request` (every group's token
-    /// demands, with the node demands dropped) cannot be satisfied either.
-    fn gres_also_blocked(&self, request: &AllocRequest) -> bool {
-        let mut residue = AllocRequest::new();
-        for group in request.groups() {
-            if group.gres.iter().any(|(_, n)| *n > 0) {
-                residue = residue.group(GroupRequest {
-                    partition: group.partition.clone(),
-                    nodes: 0,
-                    gres: group.gres.clone(),
-                });
-            }
-        }
-        !residue.is_empty() && self.cluster.can_allocate(&residue).is_err()
+    /// `true` if the live cluster can satisfy `request` right now
+    /// (see [`SchedCtx::live_check`]).
+    pub fn can_allocate(&self, request: &AllocRequest) -> bool {
+        self.live_check(request).is_ok()
+    }
+
+    /// Why `request` is not running right now: the binding resource
+    /// shortage from [`SchedCtx::live_check`], or
+    /// [`HoldReason::PolicyHold`] when the live cluster could satisfy it
+    /// (the hold is the policy's own doing). Purely read-only. A policy
+    /// that also needs the start decision should call `live_check` once
+    /// instead of `can_allocate` followed by this.
+    pub fn hold_reason(&self, request: &AllocRequest) -> HoldReason {
+        self.live_check(request)
+            .err()
+            .unwrap_or(HoldReason::PolicyHold)
     }
 
     /// Total free units of a gres kind across every partition (e.g. idle
@@ -308,6 +319,11 @@ pub trait QueuePolicy: fmt::Debug + Send {
     /// is the job's flattened footprint; `profile` is the cycle's
     /// free-capacity timeline, already carrying every reservation made
     /// earlier in the cycle (a policy may carve further reservations).
+    ///
+    /// Call [`SchedCtx::live_check`] once and let its error be the hold
+    /// reason; it is the cheapest check, so run it before any profile
+    /// walk, and walk the profile only for a job the live cluster can
+    /// place. Every built-in policy follows this pattern.
     fn admit(
         &mut self,
         job: &PendingJob,

@@ -18,7 +18,6 @@ use crate::priority::PriorityCalculator;
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
-use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::job::JobId;
@@ -210,12 +209,8 @@ impl BatchScheduler {
     /// and for asserting backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
     pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
-        let releases: Vec<(SimTime, Demand)> = self
-            .running
-            .values()
-            .map(|r| (r.expected_end, r.demand.clone()))
-            .collect();
-        Profile::build(now, Demand::free_of(cluster), &releases)
+        let releases = self.running.values().map(|r| (r.expected_end, &r.demand));
+        Profile::build(now, Demand::free_of(cluster), releases)
     }
 
     /// Enqueues a job.
@@ -340,11 +335,13 @@ impl BatchScheduler {
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
                         }
-                        Err(err) => {
-                            // Profile said yes but the live cluster disagrees
-                            // (e.g. failed nodes): treat as held, blaming the
-                            // concrete shortage the allocator reported.
-                            self.last_holds.push((job.id, Self::classify(&err)));
+                        Err(_) => {
+                            // The policy said start but the live cluster
+                            // disagrees: treat as held, blaming the shortage
+                            // the same live check every policy uses names.
+                            let reason = SchedCtx::new(now, cluster, &self.priority)
+                                .hold_reason(&job.request);
+                            self.last_holds.push((job.id, reason));
                         }
                     }
                 }
@@ -367,19 +364,6 @@ impl BatchScheduler {
 
     fn nodes_of(job: &PendingJob) -> u32 {
         job.request.total_nodes()
-    }
-
-    /// Maps a live-allocation failure onto the same causes
-    /// [`SchedCtx::hold_reason`] reports, so the ledger downstream never
-    /// sees an unlabeled hold.
-    fn classify(err: &ClusterError) -> HoldReason {
-        match err {
-            ClusterError::InsufficientNodes { .. } => HoldReason::InsufficientNodes,
-            ClusterError::InsufficientGres { .. } | ClusterError::NoSuchGres { .. } => {
-                HoldReason::InsufficientGres
-            }
-            _ => HoldReason::PolicyHold,
-        }
     }
 }
 
@@ -669,6 +653,50 @@ mod tests {
             s.last_holds(),
             &[(JobId::new(0), HoldReason::PolicyHold)],
             "the cycle records why the job was held"
+        );
+    }
+
+    #[test]
+    fn refused_start_blames_gres_when_nodes_and_tokens_are_both_gone() {
+        #[derive(Debug)]
+        struct AlwaysStart;
+        impl QueuePolicy for AlwaysStart {
+            fn name(&self) -> &str {
+                "always-start"
+            }
+            fn order(&mut self, _queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {}
+            fn admit(
+                &mut self,
+                _job: &PendingJob,
+                _demand: &Demand,
+                _profile: &mut Profile,
+                _ctx: &SchedCtx<'_>,
+            ) -> Verdict {
+                Verdict::Start
+            }
+        }
+        let listing1 = |id: u64| PendingJob {
+            id: JobId::new(id),
+            request: AllocRequest::new()
+                .group(GroupRequest::nodes("classical", 10))
+                .group(GroupRequest::gres("quantum", GresKind::qpu(), 1)),
+            walltime: SimDuration::from_hours(1),
+            submit: SimTime::ZERO,
+            user: "u".into(),
+            qos_boost: 0.0,
+        };
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::custom(Box::new(AlwaysStart));
+        s.submit(listing1(0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        // Every node and the only QPU token are now held: the allocator
+        // refuses the second start, and the ledger must name the token,
+        // as `SchedCtx::hold_reason` does for the same state.
+        s.submit(listing1(1), &c).unwrap();
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        assert_eq!(
+            s.last_holds(),
+            &[(JobId::new(1), HoldReason::InsufficientGres)]
         );
     }
 
