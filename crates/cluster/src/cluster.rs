@@ -196,6 +196,27 @@ enum Miss<'r> {
     },
 }
 
+impl Miss<'_> {
+    fn shortfall(self) -> Shortfall {
+        match self {
+            Miss::Empty | Miss::UnknownPartition(_) => Shortfall::Invalid,
+            Miss::Nodes {
+                gres_also_short, ..
+            } => Shortfall::Nodes { gres_also_short },
+            Miss::Gres { .. } => Shortfall::Gres,
+        }
+    }
+}
+
+/// What [`Cluster::first_miss`] measures a request against.
+#[derive(Clone, Copy)]
+enum Basis {
+    /// Free schedulable nodes and available gres units right now.
+    Free,
+    /// Every node and every gres unit the machine has.
+    Total,
+}
+
 impl Cluster {
     /// The time accounting started.
     pub fn start(&self) -> SimTime {
@@ -276,7 +297,7 @@ impl Cluster {
     /// lowest-id partition short of nodes, else the first missing or short
     /// gres pool by `(partition id, kind)`.
     pub fn can_allocate(&self, request: &AllocRequest) -> Result<(), ClusterError> {
-        match self.first_miss(request) {
+        match self.first_miss(request, Basis::Free) {
             None => Ok(()),
             Some(miss) => Err(self.error_of(miss)),
         }
@@ -287,20 +308,26 @@ impl Cluster {
     /// error. Unlike `can_allocate` it allocates nothing and formats
     /// nothing, so a scheduler can ask it of every held job on every cycle.
     pub fn shortfall(&self, request: &AllocRequest) -> Option<Shortfall> {
-        self.first_miss(request).map(|miss| match miss {
-            Miss::Empty | Miss::UnknownPartition(_) => Shortfall::Invalid,
-            Miss::Nodes {
-                gres_also_short, ..
-            } => Shortfall::Nodes { gres_also_short },
-            Miss::Gres { .. } => Shortfall::Gres,
-        })
+        self.first_miss(request, Basis::Free).map(Miss::shortfall)
     }
 
-    /// The one accumulation pass behind [`Cluster::can_allocate`] and
-    /// [`Cluster::shortfall`]. Demands on the same partition or pool
-    /// accumulate across groups: each is totalled once, at its first
-    /// mention, by rescanning the (few) groups instead of building maps.
-    fn first_miss<'r>(&self, request: &'r AllocRequest) -> Option<Miss<'r>> {
+    /// Classifies `request` against total capacity, as if every node were
+    /// in service and every gres unit free: `None` if the request could
+    /// ever be granted, else why it never can. Like
+    /// [`Cluster::shortfall`] it allocates nothing. An empty request, a
+    /// group on an unknown partition and a gres pool the partition lacks
+    /// all miss here whatever their counts, so a scheduler can reject
+    /// them at submission instead of holding them forever.
+    pub fn capacity_shortfall(&self, request: &AllocRequest) -> Option<Shortfall> {
+        self.first_miss(request, Basis::Total).map(Miss::shortfall)
+    }
+
+    /// The one accumulation pass behind [`Cluster::can_allocate`],
+    /// [`Cluster::shortfall`] and [`Cluster::capacity_shortfall`]. Demands
+    /// on the same partition or pool accumulate across groups: each is
+    /// totalled once, at its first mention, by rescanning the (few) groups
+    /// instead of building maps.
+    fn first_miss<'r>(&self, request: &'r AllocRequest, basis: Basis) -> Option<Miss<'r>> {
         if request.is_empty() {
             return Some(Miss::Empty);
         }
@@ -319,7 +346,10 @@ impl Cluster {
             let from_here = || groups[i..].iter().filter(same_partition);
             if !groups[..i].iter().any(|h| same_partition(&h)) {
                 let need: u32 = from_here().map(|h| h.nodes).sum();
-                let have = self.free[pid.raw() as usize].len() as u32;
+                let have = match basis {
+                    Basis::Free => self.free[pid.raw() as usize].len() as u32,
+                    Basis::Total => self.partitions[pid.raw() as usize].node_count() as u32,
+                };
                 if have < need && nodes_short.is_none_or(|(first, ..)| pid < first) {
                     nodes_short = Some((pid, need, have));
                 }
@@ -340,7 +370,10 @@ impl Cluster {
                     .sum();
                 let available = self.partitions[pid.raw() as usize]
                     .gres_pool(kind)
-                    .map(|pool| pool.available());
+                    .map(|pool| match basis {
+                        Basis::Free => pool.available(),
+                        Basis::Total => pool.capacity(),
+                    });
                 if available.is_some_and(|have| have >= need) {
                     continue;
                 }

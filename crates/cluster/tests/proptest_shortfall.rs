@@ -290,3 +290,40 @@ fn tie_break_names_gres_only_for_gres_bearing_groups() {
         Some(Shortfall::Invalid)
     );
 }
+
+#[test]
+fn capacity_shortfall_ignores_load_but_not_shape() {
+    // Two classical nodes, one QPU, no fpga pool.
+    let mut cluster = build((2, 1, 1, 0, 0, 0));
+    let whole = to_request(&[(0, 2, vec![]), (1, 1, vec![(0, 1)])]);
+    cluster.allocate(&whole, SimTime::ZERO).unwrap();
+    cluster.fail_node(NodeId::new(0)).unwrap();
+    // Nothing is free, yet the whole machine is still grantable someday.
+    assert!(cluster.shortfall(&whole).is_some());
+    assert_eq!(cluster.capacity_shortfall(&whole), None);
+    assert_eq!(
+        cluster.capacity_shortfall(&to_request(&[(0, 3, vec![])])),
+        Some(Shortfall::Nodes {
+            gres_also_short: false
+        })
+    );
+    assert_eq!(
+        cluster.capacity_shortfall(&to_request(&[(1, 0, vec![(0, 1)]), (1, 0, vec![(0, 1)])])),
+        Some(Shortfall::Gres),
+        "demands on one pool accumulate across groups"
+    );
+    // Shapes no capacity ever grants, whatever their counts.
+    assert_eq!(
+        cluster.capacity_shortfall(&AllocRequest::new()),
+        Some(Shortfall::Invalid)
+    );
+    assert_eq!(
+        cluster.capacity_shortfall(&to_request(&[(0, 1, vec![]), (3, 0, vec![])])),
+        Some(Shortfall::Invalid)
+    );
+    assert_eq!(
+        cluster.capacity_shortfall(&to_request(&[(1, 1, vec![(1, 0)])])),
+        Some(Shortfall::Gres),
+        "a zero-count gres on a pool the partition lacks"
+    );
+}

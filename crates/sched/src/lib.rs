@@ -17,7 +17,9 @@
 //! * [`probe`] — the [`CycleProbe`] hook that lets harness-layer code
 //!   (profilers, tracers) watch each planning cycle's phases without the
 //!   scheduler ever reading a clock;
-//! * [`scheduler`] — the policy-agnostic [`BatchScheduler`] cycle loop.
+//! * [`scheduler`] — the policy-agnostic [`BatchScheduler`] cycle loop,
+//!   and the [`ProfileCell`] that builds a cycle's [`Profile`] only when
+//!   a policy reads it.
 //!
 //! ## Example: Listing 1 through the scheduler
 //!
@@ -64,4 +66,4 @@ pub use policy::{
 };
 pub use priority::{PriorityCalculator, PriorityWeights};
 pub use probe::{CyclePhase, CycleProbe, NoProbe};
-pub use scheduler::{BatchScheduler, PendingJob, SchedError, StartedJob};
+pub use scheduler::{BatchScheduler, PendingJob, ProfileCell, SchedError, StartedJob};

@@ -1,8 +1,8 @@
 //! Conservative backfilling.
 
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{sort_multifactor, HoldReason, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 
 /// Conservative backfilling: *every* job that cannot start now reserves
 /// its earliest feasible slot, so a later job may jump ahead only if it
@@ -31,10 +31,13 @@ impl QueuePolicy for ConservativeBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         let live = ctx.live_check(&job.request);
+        // Every job walks the profile, so conservative builds it in every
+        // cycle with a queue.
+        let profile = profile.get();
         let slot = profile.find_slot(demand, job.walltime, ctx.now());
         if slot > ctx.now() {
             // Reserve its future slot so later jobs cannot delay it.

@@ -1,9 +1,9 @@
 //! EASY backfilling.
 
 use super::{easy_admit, easy_held};
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{sort_multifactor, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 
 /// EASY backfilling, the default on most production systems: the first
 /// job that cannot start (the head) gets a reservation at its earliest
@@ -70,7 +70,7 @@ impl QueuePolicy for EasyBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         easy_admit(self.head_blocked, job, demand, profile, ctx)
@@ -80,7 +80,7 @@ impl QueuePolicy for EasyBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         easy_held(&mut self.head_blocked, job, demand, profile, ctx);

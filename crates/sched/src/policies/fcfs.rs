@@ -1,8 +1,8 @@
 //! Strict first-come-first-served.
 
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{sort_multifactor, HoldReason, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 
 /// Strict FCFS: the queue (in priority order) starts from the front until
 /// the first job that does not fit; everything behind it waits, however
@@ -37,7 +37,7 @@ impl QueuePolicy for Fcfs {
         &mut self,
         job: &PendingJob,
         _demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         match ctx.live_check(&job.request) {
@@ -52,7 +52,7 @@ impl QueuePolicy for Fcfs {
         &mut self,
         _job: &PendingJob,
         _demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut ProfileCell<'_>,
         _ctx: &SchedCtx<'_>,
     ) {
         self.blocked = true;

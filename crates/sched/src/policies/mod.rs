@@ -13,9 +13,9 @@
 //! away (see the worked example on [`crate::policy`]) and runs through
 //! [`BatchScheduler::custom`](crate::BatchScheduler::custom).
 
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{HoldReason, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 use hpcqc_simcore::time::SimTime;
 
 mod conservative;
@@ -36,18 +36,19 @@ pub use quantum::QuantumAware;
 /// the profile.
 ///
 /// The live check runs first and its failure is the hold reason; the
-/// profile walk runs only for a job the machine could place right now,
-/// and only once the head is blocked.
+/// profile walk — and so the cycle's profile build — runs only for a job
+/// the machine could place right now, and only once the head is blocked.
 pub(crate) fn easy_admit(
     head_blocked: bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile,
+    profile: &mut ProfileCell<'_>,
     ctx: &SchedCtx<'_>,
 ) -> Verdict {
     match ctx.live_check(&job.request) {
         Ok(())
-            if !head_blocked || profile.find_slot(demand, job.walltime, ctx.now()) == ctx.now() =>
+            if !head_blocked
+                || profile.get().find_slot(demand, job.walltime, ctx.now()) == ctx.now() =>
         {
             Verdict::Start
         }
@@ -68,11 +69,12 @@ pub(crate) fn easy_held(
     head_blocked: &mut bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile,
+    profile: &mut ProfileCell<'_>,
     ctx: &SchedCtx<'_>,
 ) {
     if !*head_blocked {
         *head_blocked = true;
+        let profile = profile.get();
         let shadow = profile.find_slot(demand, job.walltime, ctx.now());
         if shadow != SimTime::MAX {
             profile.reserve(demand, shadow, job.walltime);

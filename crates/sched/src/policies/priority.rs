@@ -1,9 +1,9 @@
 //! Priority-ordered backfilling with hard aging.
 
 use super::{easy_admit, easy_held};
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{sort_by_score, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 
 /// EASY mechanics driven purely by the multifactor priority, plus *hard
 /// aging*: a job queued longer than `escalate_after_hours` escalates past
@@ -94,7 +94,7 @@ impl QueuePolicy for PriorityBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         easy_admit(self.head_blocked, job, demand, profile, ctx)
@@ -104,7 +104,7 @@ impl QueuePolicy for PriorityBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         easy_held(&mut self.head_blocked, job, demand, profile, ctx);

@@ -1,9 +1,9 @@
 //! Quantum-aware backfilling: minimize idle-QPU time.
 
 use super::{easy_admit, easy_held};
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policy::{sort_by_score, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 use hpcqc_cluster::gres::GresKind;
 
 /// EASY mechanics plus an idle-QPU boost, after SCIM MILQ (Seitz et al.):
@@ -104,7 +104,7 @@ impl QueuePolicy for QuantumAware {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         easy_admit(self.head_blocked, job, demand, profile, ctx)
@@ -114,7 +114,7 @@ impl QueuePolicy for QuantumAware {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         easy_held(&mut self.head_blocked, job, demand, profile, ctx);

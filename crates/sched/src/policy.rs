@@ -6,11 +6,14 @@
 //! The batch scheduler itself ([`BatchScheduler`](crate::BatchScheduler))
 //! is policy-agnostic:
 //! every scheduling cycle it asks the policy to order the queue, then
-//! walks it asking `admit` for each job against the free-capacity
-//! [`Profile`], allocating the admitted ones and telling the policy about
-//! the held ones. Everything discipline-specific — FCFS head blocking,
-//! EASY's shadow reservation, conservative's per-job reservations,
-//! priority aging, quantum-aware boosting — lives behind this trait, in
+//! walks it asking `admit` for each job, allocating the admitted ones and
+//! telling the policy about the held ones. Both hooks receive the cycle's
+//! free-capacity [`Profile`](crate::Profile) behind a [`ProfileCell`],
+//! which builds it on the policy's first [`get`](ProfileCell::get): a
+//! policy that decides on the live cluster alone never pays for one.
+//! Everything discipline-specific — FCFS head blocking, EASY's shadow
+//! reservation, conservative's per-job reservations, priority aging,
+//! quantum-aware boosting — lives behind this trait, in
 //! [`crate::policies`].
 //!
 //! # Implementing a custom policy
@@ -21,7 +24,7 @@
 //! ```
 //! use hpcqc_cluster::{AllocRequest, ClusterBuilder, GroupRequest};
 //! use hpcqc_sched::policy::{QueuePolicy, SchedCtx, Verdict};
-//! use hpcqc_sched::{BatchScheduler, Demand, PendingJob, Profile};
+//! use hpcqc_sched::{BatchScheduler, Demand, PendingJob, ProfileCell};
 //! use hpcqc_simcore::time::{SimDuration, SimTime};
 //! use hpcqc_workload::JobId;
 //!
@@ -42,12 +45,13 @@
 //!         &mut self,
 //!         job: &PendingJob,
 //!         _demand: &Demand,
-//!         _profile: &mut Profile,
+//!         _profile: &mut ProfileCell<'_>,
 //!         ctx: &SchedCtx<'_>,
 //!     ) -> Verdict {
 //!         // One live check decides the job: its failure already names
 //!         // the binding shortage for the attribution layer
-//!         // (insufficient nodes, QPU tokens, …).
+//!         // (insufficient nodes, QPU tokens, …). LIFO plans no future,
+//!         // so it never calls `_profile.get()` and no cycle builds one.
 //!         match ctx.live_check(&job.request) {
 //!             Ok(()) => Verdict::Start,
 //!             Err(reason) => Verdict::Hold(reason),
@@ -77,10 +81,10 @@
 //! # Ok::<(), hpcqc_sched::SchedError>(())
 //! ```
 
-use crate::demand::{Demand, Profile};
+use crate::demand::Demand;
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{PendingJob, ProfileCell};
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::Shortfall;
@@ -316,19 +320,23 @@ pub trait QueuePolicy: fmt::Debug + Send {
     fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>);
 
     /// Decides whether `job` (the next in order) may start now. `demand`
-    /// is the job's flattened footprint; `profile` is the cycle's
-    /// free-capacity timeline, already carrying every reservation made
-    /// earlier in the cycle (a policy may carve further reservations).
+    /// is the job's flattened footprint; `profile` holds the cycle's
+    /// free-capacity timeline, built on the first
+    /// [`get`](ProfileCell::get) of the cycle and already carrying every
+    /// reservation made earlier in the cycle (a policy may carve further
+    /// reservations).
     ///
     /// Call [`SchedCtx::live_check`] once and let its error be the hold
     /// reason; it is the cheapest check, so run it before any profile
-    /// walk, and walk the profile only for a job the live cluster can
-    /// place. Every built-in policy follows this pattern.
+    /// walk, and call `profile.get()` only for a job the live cluster can
+    /// place and only when the decision needs the future. Every built-in
+    /// policy but conservative backfill follows this pattern, so a cycle
+    /// in which every examined job starts builds no profile.
     fn admit(
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict;
 
@@ -336,12 +344,13 @@ pub trait QueuePolicy: fmt::Debug + Send {
     /// [`admit`](QueuePolicy::admit) held it, or because the live cluster
     /// refused an admitted start (e.g. failed nodes). A policy may protect
     /// the job with a reservation here (EASY protects the first held job,
-    /// its "head").
+    /// its "head"), through the same lazily built `profile` as
+    /// [`admit`](QueuePolicy::admit).
     fn held(
         &mut self,
         _job: &PendingJob,
         _demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut ProfileCell<'_>,
         _ctx: &SchedCtx<'_>,
     ) {
     }

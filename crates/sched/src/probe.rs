@@ -3,8 +3,9 @@
 //! A probe observes each [`BatchScheduler::try_schedule`] cycle from the
 //! *outside*: it is told when a cycle begins (and how deep the queue is),
 //! when each internal phase — queue ordering, admission decisions, live
-//! cluster allocation — starts and stops, and how the cycle ended (jobs
-//! started vs held). The scheduler itself never reads a clock; a probe
+//! cluster allocation — starts and stops, when the cycle's availability
+//! profile is built (if the policy reads it at all), and how the cycle
+//! ended (jobs started vs held). The scheduler itself never reads a clock; a probe
 //! that wants wall-clock timings takes them in its own crate (see
 //! `hpcqc-trace`'s `SchedProfiler`), so the deterministic core stays free
 //! of wall time and the no-op default ([`NoProbe`]) costs two virtual
@@ -17,12 +18,17 @@ use hpcqc_simcore::time::SimTime;
 /// The internal phases of one planning cycle, in execution order.
 ///
 /// `Admit` and `Allocate` interleave per queued job; probes accumulate
-/// rather than assume contiguity.
+/// rather than assume contiguity. No phase covers the availability-profile
+/// build as such: the profile is built on first use, so its cost falls in
+/// whatever triggered it — `Admit` when a policy's `admit` reads it, the
+/// cycle's own time outside every phase when `held` does (see
+/// [`CycleProbe::profile_built`] for the count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CyclePhase {
-    /// Policy `begin_cycle` + queue ordering + availability-profile build.
+    /// Policy `begin_cycle` + queue ordering.
     Order,
-    /// Per-job policy admission decisions (`admit` / `held`).
+    /// Per-job policy admission decisions (`admit`; `held` runs outside
+    /// every phase).
     Admit,
     /// Live-cluster allocation attempts for admitted jobs.
     Allocate,
@@ -58,6 +64,14 @@ pub trait CycleProbe: std::fmt::Debug {
         let _ = phase;
     }
 
+    /// The cycle's availability profile was just built, with `segments`
+    /// segments (one from `now`, plus one per distinct later release
+    /// instant of the running jobs). Called at most once per cycle, and
+    /// not at all in a cycle whose policy never reads the profile.
+    fn profile_built(&mut self, segments: usize) {
+        let _ = segments;
+    }
+
     /// The cycle finished: `started` jobs were granted resources,
     /// `held` remain queued.
     fn cycle_end(&mut self, started: usize, held: usize) {
@@ -89,6 +103,7 @@ mod tests {
         p.cycle_start(SimTime::ZERO, 3);
         p.phase_start(CyclePhase::Order);
         p.phase_end(CyclePhase::Order);
+        p.profile_built(4);
         p.cycle_end(1, 2);
     }
 }

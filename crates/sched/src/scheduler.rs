@@ -18,6 +18,7 @@ use crate::priority::PriorityCalculator;
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
+use hpcqc_cluster::error::Shortfall;
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::job::JobId;
@@ -89,6 +90,86 @@ struct Running {
     expected_end: SimTime,
     node_count: u32,
     started: SimTime,
+}
+
+/// The one availability-profile builder: current free capacity plus the
+/// expected release of every running job, its demand borrowed.
+fn build_profile(
+    running: &BTreeMap<AllocationId, Running>,
+    cluster: &Cluster,
+    now: SimTime,
+) -> Profile {
+    let releases = running.values().map(|r| (r.expected_end, &r.demand));
+    Profile::build(now, Demand::free_of(cluster), releases)
+}
+
+/// A scheduling cycle's availability [`Profile`], built on first use.
+///
+/// [`QueuePolicy::admit`] and [`QueuePolicy::held`] receive one of these
+/// instead of a built profile. The first [`get`](ProfileCell::get) in a
+/// cycle builds the profile from the live cluster and the running set,
+/// exactly as [`BatchScheduler::availability_profile`] does; later calls
+/// in the same cycle return that profile with every reservation carved
+/// into it since. A policy that never calls `get` (FCFS, or EASY while
+/// every job starts) costs the cycle no profile at all.
+///
+/// Building late changes no decision. A job that starts before the build
+/// has already taken its demand `d` out of the live cluster and joined
+/// the running set with its release at `now + walltime`, so the build
+/// reads `F − d` before that instant and `F` after it: what building
+/// first and reserving `d` over `[now, now + walltime)` gives, since
+/// `d ≤ F`.
+pub struct ProfileCell<'c> {
+    slot: &'c mut Option<Profile>,
+    running: &'c BTreeMap<AllocationId, Running>,
+    cluster: &'c Cluster,
+    now: SimTime,
+    probe: &'c mut dyn CycleProbe,
+}
+
+impl<'c> ProfileCell<'c> {
+    fn new(
+        slot: &'c mut Option<Profile>,
+        running: &'c BTreeMap<AllocationId, Running>,
+        cluster: &'c Cluster,
+        now: SimTime,
+        probe: &'c mut dyn CycleProbe,
+    ) -> Self {
+        ProfileCell {
+            slot,
+            running,
+            cluster,
+            now,
+            probe,
+        }
+    }
+
+    /// The cycle's profile, built now if no earlier call built it (the
+    /// cycle's [`CycleProbe`] hears of the build through
+    /// [`CycleProbe::profile_built`]).
+    pub fn get(&mut self) -> &mut Profile {
+        let ProfileCell {
+            slot,
+            running,
+            cluster,
+            now,
+            probe,
+        } = self;
+        slot.get_or_insert_with(|| {
+            let profile = build_profile(running, cluster, *now);
+            probe.profile_built(profile.segments());
+            profile
+        })
+    }
+}
+
+impl fmt::Debug for ProfileCell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProfileCell")
+            .field("now", &self.now)
+            .field("profile", &self.slot)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The batch scheduler.
@@ -209,39 +290,33 @@ impl BatchScheduler {
     /// and for asserting backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
     pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
-        let releases = self.running.values().map(|r| (r.expected_end, &r.demand));
-        Profile::build(now, Demand::free_of(cluster), releases)
+        build_profile(&self.running, cluster, now)
     }
 
     /// Enqueues a job.
     ///
     /// # Errors
     ///
-    /// [`SchedError::ImpossibleRequest`] if the request exceeds the
-    /// machine's total capacity (it would block the queue forever);
+    /// [`SchedError::ImpossibleRequest`] if the request can never be
+    /// granted (it would block the queue forever): it exceeds the
+    /// machine's total capacity, asks for nothing, or names a partition or
+    /// gres pool the machine lacks, even at a zero count;
     /// [`SchedError::ZeroWalltime`] for a zero walltime.
     pub fn submit(&mut self, job: PendingJob, cluster: &Cluster) -> Result<(), SchedError> {
         if job.walltime.is_zero() {
             return Err(SchedError::ZeroWalltime { job: job.id });
         }
-        let mut capacity = Demand::new();
-        for part in cluster.partitions() {
-            let whole = AllocRequest::new().group(hpcqc_cluster::alloc::GroupRequest {
-                partition: part.name().to_string(),
-                nodes: part.node_count() as u32,
-                gres: part
-                    .gres_pools()
-                    .iter()
-                    .map(|p| (p.kind().clone(), p.capacity()))
-                    .collect(),
-            });
-            capacity.add(&Demand::of_request(&whole));
-        }
-        let need = Demand::of_request(&job.request);
-        if !capacity.covers(&need) {
+        if let Some(shortfall) = cluster.capacity_shortfall(&job.request) {
+            let reason = match shortfall {
+                Shortfall::Nodes { .. } => "demand exceeds total machine capacity",
+                Shortfall::Gres => {
+                    "demand exceeds total machine capacity or names a missing gres pool"
+                }
+                Shortfall::Invalid => "request asks for nothing or names an unknown partition",
+            };
             return Err(SchedError::ImpossibleRequest {
                 job: job.id,
-                reason: "demand exceeds total machine capacity".to_string(),
+                reason: reason.to_string(),
             });
         }
         self.pending.push(job);
@@ -278,6 +353,10 @@ impl BatchScheduler {
     /// [`try_schedule`](BatchScheduler::try_schedule) with a [`CycleProbe`]
     /// observing the cycle's internal phases. Scheduling decisions are
     /// byte-identical to the unprobed path — the probe only watches.
+    ///
+    /// The cycle's availability [`Profile`] is built only if the policy
+    /// reads it (see [`ProfileCell`]); a cycle whose every examined job
+    /// starts on the live check never builds one.
     pub fn try_schedule_probed(
         &mut self,
         cluster: &mut Cluster,
@@ -296,9 +375,9 @@ impl BatchScheduler {
             &mut self.pending,
             &SchedCtx::new(now, cluster, &self.priority),
         );
-        let mut profile = self.availability_profile(cluster, now);
         probe.phase_end(CyclePhase::Order);
 
+        let mut profile: Option<Profile> = None;
         let mut started = Vec::new();
         let mut still_pending: Vec<PendingJob> = Vec::new();
 
@@ -308,7 +387,7 @@ impl BatchScheduler {
             let verdict = self.policy.admit(
                 &job,
                 &demand,
-                &mut profile,
+                &mut ProfileCell::new(&mut profile, &self.running, cluster, now, probe),
                 &SchedCtx::new(now, cluster, &self.priority),
             );
             probe.phase_end(CyclePhase::Admit);
@@ -319,7 +398,13 @@ impl BatchScheduler {
                     probe.phase_end(CyclePhase::Allocate);
                     match granted {
                         Ok(alloc) => {
-                            profile.reserve(&demand, now, job.walltime);
+                            // An unbuilt profile needs no reservation: its
+                            // build reads the free capacity this start
+                            // already took, and the job's release at its
+                            // walltime end from the running set.
+                            if let Some(profile) = profile.as_mut() {
+                                profile.reserve(&demand, now, job.walltime);
+                            }
                             self.running.insert(
                                 alloc,
                                 Running {
@@ -352,7 +437,7 @@ impl BatchScheduler {
             self.policy.held(
                 &job,
                 &demand,
-                &mut profile,
+                &mut ProfileCell::new(&mut profile, &self.running, cluster, now, probe),
                 &SchedCtx::new(now, cluster, &self.priority),
             );
             still_pending.push(job);
@@ -472,6 +557,75 @@ mod tests {
         let err = s.submit(job(0, 11, 100, 0), &c).unwrap_err();
         assert!(matches!(err, SchedError::ImpossibleRequest { .. }));
         assert_eq!(s.pending_len(), 0);
+    }
+
+    #[test]
+    fn requests_no_capacity_can_grant_are_rejected_at_submit() {
+        let mut c = cluster(4);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        let with = |request: AllocRequest| PendingJob {
+            request,
+            ..job(0, 1, 100, 0)
+        };
+        let never = [
+            AllocRequest::new(),
+            AllocRequest::new()
+                .group(GroupRequest::nodes("classical", 1))
+                .group(GroupRequest::nodes("nope", 0)),
+            AllocRequest::new().group(GroupRequest::gres("classical", GresKind::qpu(), 0)),
+            AllocRequest::new().group(GroupRequest::gres("quantum", GresKind::qpu(), 2)),
+        ];
+        for request in never {
+            let err = s.submit(with(request.clone()), &c).unwrap_err();
+            assert!(
+                matches!(err, SchedError::ImpossibleRequest { .. }),
+                "{request:?} accepted"
+            );
+        }
+        // Nothing unsatisfiable sits at the head, so FCFS starts the job.
+        s.submit(job(1, 1, 100, 1), &c).unwrap();
+        let started = s.try_schedule(&mut c, SimTime::from_secs(1));
+        assert_eq!(started.len(), 1);
+        assert_eq!(s.pending_len(), 0);
+    }
+
+    #[derive(Debug, Default)]
+    struct Builds(Vec<usize>);
+
+    impl CycleProbe for Builds {
+        fn profile_built(&mut self, segments: usize) {
+            self.0.push(segments);
+        }
+    }
+
+    #[test]
+    fn profile_is_built_only_when_a_policy_reads_it() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        let mut builds = Builds::default();
+        for i in 0..3 {
+            s.submit(job(i, 2, 100 + i, i), &c).unwrap();
+        }
+        let started = s.try_schedule_probed(&mut c, SimTime::ZERO, &mut builds);
+        assert_eq!(started.len(), 3);
+        assert!(builds.0.is_empty(), "every job started: no profile");
+        // A blocked head needs its shadow: one build, over the three
+        // running jobs' distinct releases plus `now`.
+        s.submit(job(3, 10, 100, 3), &c).unwrap();
+        s.submit(job(4, 1, 10, 4), &c).unwrap();
+        let started = s.try_schedule_probed(&mut c, SimTime::from_secs(5), &mut builds);
+        assert_eq!(started.len(), 1, "the 1-node job backfills");
+        assert_eq!(builds.0, vec![4]);
+
+        // FCFS never plans ahead; conservative plans every job.
+        for (spec, expected) in [(PolicySpec::fcfs(), 0), (PolicySpec::conservative(), 1)] {
+            let mut c = cluster(10);
+            let mut s = BatchScheduler::new(spec);
+            let mut builds = Builds::default();
+            s.submit(job(0, 2, 100, 0), &c).unwrap();
+            s.try_schedule_probed(&mut c, SimTime::ZERO, &mut builds);
+            assert_eq!(builds.0.len(), expected, "{spec}");
+        }
     }
 
     #[test]
@@ -636,7 +790,7 @@ mod tests {
                 &mut self,
                 _job: &PendingJob,
                 _demand: &Demand,
-                _profile: &mut Profile,
+                _profile: &mut ProfileCell<'_>,
                 _ctx: &SchedCtx<'_>,
             ) -> Verdict {
                 Verdict::Hold(HoldReason::PolicyHold)
@@ -669,7 +823,7 @@ mod tests {
                 &mut self,
                 _job: &PendingJob,
                 _demand: &Demand,
-                _profile: &mut Profile,
+                _profile: &mut ProfileCell<'_>,
                 _ctx: &SchedCtx<'_>,
             ) -> Verdict {
                 Verdict::Start

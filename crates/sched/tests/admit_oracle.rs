@@ -5,133 +5,23 @@
 //! then a hold diagnosis that re-runs `can_allocate` on a gres-only
 //! residue request to break the nodes-versus-gres tie. It reuses the
 //! built-in policy's queue order, and both schedulers are driven through
-//! the same queues, completions and node failures; every cycle must start
-//! the same jobs on the same allocations and record the same holds.
+//! the same queues, completions, walltime overruns and node failures;
+//! every cycle must start the same jobs on the same allocations and
+//! record the same holds. The oracle builds the cycle's profile at every
+//! admission, so it also plans against the eagerly built profile.
 
+mod common;
+
+use common::{all_policies, op, shape, Lockstep};
 use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
-use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
+use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::ClusterError;
-use hpcqc_cluster::gres::GresKind;
-use hpcqc_cluster::ids::{AllocationId, NodeId};
 use hpcqc_sched::{
-    BatchScheduler, Demand, Discipline, HoldReason, PendingJob, PolicySpec, Profile, QueuePolicy,
-    SchedCtx, Verdict,
+    BatchScheduler, Demand, Discipline, HoldReason, PendingJob, PolicySpec, ProfileCell,
+    QueuePolicy, SchedCtx, Verdict,
 };
-use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_workload::job::JobId;
+use hpcqc_simcore::time::SimTime;
 use proptest::prelude::*;
-
-/// Partition names a request may name; the last one never exists.
-const PARTITIONS: [&str; 4] = ["classical", "quantum", "gpu", "nowhere"];
-/// Gres kinds a request may name; `tpu` is never pooled.
-const KINDS: [&str; 4] = ["qpu", "fpga", "gpu", "tpu"];
-const USERS: [&str; 3] = ["ana", "bo", "cy"];
-
-/// `(classical nodes, qpu units, fpga units, gpu nodes, gpu units)`; the
-/// quantum partition has one node and carries both the qpu and the fpga
-/// pool, so clusters always have two gres pools in one partition.
-type Shape = (u32, u32, u32, u32, u32);
-
-/// One group: `(partition index, nodes, [(kind index, count)])`.
-type GroupSpec = (usize, u32, Vec<(usize, u32)>);
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// Submit a job: groups, walltime (s), user index, QoS boost.
-    Submit(Vec<GroupSpec>, u64, usize, f64),
-    /// Advance the clock by this many seconds, finishing every job whose
-    /// walltime ends by then.
-    Advance(u64),
-    /// Finish the running job at this index (modulo the running count)
-    /// before its walltime ends.
-    Finish(usize),
-    /// Fail the node with this id (modulo the node count).
-    Fail(u32),
-    /// Return the node with this id (modulo the node count) to service.
-    Restore(u32),
-}
-
-fn shape() -> impl Strategy<Value = Shape> {
-    (2u32..12, 1u32..3, 1u32..3, 0u32..3, 0u32..3)
-}
-
-/// Mostly well-formed groups on the three real partitions, with a few
-/// unknown partitions and zero counts mixed in.
-fn group() -> impl Strategy<Value = GroupSpec> {
-    (
-        prop_oneof![
-            Just(0usize),
-            Just(0usize),
-            Just(1usize),
-            Just(1usize),
-            Just(2usize),
-            0usize..PARTITIONS.len(),
-        ],
-        prop_oneof![Just(0u32), 1u32..6, 1u32..6],
-        prop::collection::vec(
-            (
-                0usize..KINDS.len(),
-                prop_oneof![Just(0u32), 1u32..3, 1u32..3],
-            ),
-            0..3,
-        ),
-    )
-}
-
-fn submit() -> impl Strategy<Value = Op> {
-    (
-        prop::collection::vec(group(), 1..4),
-        60u64..7_200,
-        0usize..USERS.len(),
-        prop_oneof![Just(0.0f64), 0.0f64..50.0],
-    )
-        .prop_map(|(groups, walltime, user, boost)| Op::Submit(groups, walltime, user, boost))
-}
-
-/// Submissions come twice as often as any other operation, so queues
-/// grow deep enough for heads to block and jobs to backfill.
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        submit(),
-        submit(),
-        prop_oneof![Just(0u64), 1u64..4_000].prop_map(Op::Advance),
-        (0usize..16).prop_map(Op::Finish),
-        (0u32..20).prop_map(Op::Fail),
-        (0u32..20).prop_map(Op::Restore),
-    ]
-}
-
-fn build(shape: Shape) -> Cluster {
-    let (classical, qpus, fpga, gpu_nodes, gpus) = shape;
-    ClusterBuilder::new()
-        .partition("classical", classical)
-        .partition_with_gres("quantum", 1, GresKind::qpu(), qpus)
-        .gres(GresKind::new("fpga"), fpga)
-        .partition_with_gres("gpu", gpu_nodes, GresKind::new("gpu"), gpus)
-        .build(SimTime::ZERO)
-}
-
-fn to_request(groups: &[GroupSpec]) -> AllocRequest {
-    groups
-        .iter()
-        .fold(AllocRequest::new(), |req, (part, nodes, gres)| {
-            let group = gres.iter().fold(
-                GroupRequest::nodes(PARTITIONS[*part], *nodes),
-                |g, (kind, n)| g.with_gres(GresKind::new(KINDS[*kind]), *n),
-            );
-            req.group(group)
-        })
-}
-
-fn all_policies() -> [PolicySpec; 5] {
-    [
-        PolicySpec::fcfs(),
-        PolicySpec::easy(),
-        PolicySpec::conservative(),
-        PolicySpec::priority_backfill(1.0),
-        PolicySpec::quantum_aware(1_000.0),
-    ]
-}
 
 /// `true` if the gres-only residue of `request` (every group's token
 /// demands, with the node demands dropped) cannot be satisfied either.
@@ -206,7 +96,7 @@ impl QueuePolicy for OracleAdmit {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         let cluster = ctx.cluster();
@@ -220,6 +110,7 @@ impl QueuePolicy for OracleAdmit {
             job.request
         );
         assert_eq!(ctx.can_allocate(&job.request), fits(&job.request));
+        let profile = profile.get();
         match self.discipline {
             Discipline::Fcfs => {
                 if !self.blocked && fits(&job.request) {
@@ -264,7 +155,7 @@ impl QueuePolicy for OracleAdmit {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         match self.discipline {
@@ -273,6 +164,7 @@ impl QueuePolicy for OracleAdmit {
             _ => {
                 if !self.blocked {
                     self.blocked = true;
+                    let profile = profile.get();
                     let shadow = profile.find_slot(demand, job.walltime, ctx.now());
                     if shadow != SimTime::MAX {
                         profile.reserve(demand, shadow, job.walltime);
@@ -283,123 +175,10 @@ impl QueuePolicy for OracleAdmit {
     }
 }
 
-/// Two clusters and two schedulers driven through the same operations.
-struct Lockstep {
-    clusters: [Cluster; 2],
-    scheds: [BatchScheduler; 2],
-    /// Running jobs' allocations with their walltime ends.
-    running: Vec<(SimTime, AllocationId)>,
-    walltimes: Vec<SimDuration>,
-    now: SimTime,
-    next_id: u64,
-    cycles: usize,
-    holds: usize,
-}
-
-impl Lockstep {
-    fn new(shape: Shape, spec: PolicySpec) -> Self {
-        let oracle = BatchScheduler::custom(Box::new(OracleAdmit::new(spec)))
-            .with_priority(spec.calculator());
-        Lockstep {
-            clusters: [build(shape), build(shape)],
-            scheds: [BatchScheduler::new(spec), oracle],
-            running: Vec::new(),
-            walltimes: Vec::new(),
-            now: SimTime::ZERO,
-            next_id: 0,
-            cycles: 0,
-            holds: 0,
-        }
-    }
-
-    fn cycle(&mut self, spec: PolicySpec) -> Result<(), TestCaseError> {
-        let [ca, cb] = &mut self.clusters;
-        let [sa, sb] = &mut self.scheds;
-        let started = sa.try_schedule(ca, self.now);
-        let expected = sb.try_schedule(cb, self.now);
-        prop_assert_eq!(
-            &started,
-            &expected,
-            "{} starts differ at {}",
-            spec,
-            self.now
-        );
-        prop_assert_eq!(
-            sa.last_holds(),
-            sb.last_holds(),
-            "{} holds differ at {}",
-            spec,
-            self.now
-        );
-        let ids = |s: &BatchScheduler| s.pending().iter().map(|p| p.id).collect::<Vec<_>>();
-        prop_assert_eq!(ids(sa), ids(sb));
-        let now = self.now;
-        let walltimes = &self.walltimes;
-        self.running.extend(
-            started
-                .iter()
-                .map(|s| (now + walltimes[s.job.raw() as usize], s.alloc)),
-        );
-        self.cycles += 1;
-        self.holds += sa.last_holds().len();
-        Ok(())
-    }
-
-    fn finish(&mut self, alloc: AllocationId, at: SimTime) {
-        for (cluster, sched) in self.clusters.iter_mut().zip(&mut self.scheds) {
-            cluster.release(alloc, at).unwrap();
-            sched.finished(alloc, at);
-        }
-    }
-
-    fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
-        let node_count = self.clusters[0].nodes().len() as u32;
-        match op {
-            Op::Submit(groups, walltime, user, qos_boost) => {
-                let job = PendingJob {
-                    id: JobId::new(self.next_id),
-                    request: to_request(&groups),
-                    walltime: SimDuration::from_secs(walltime),
-                    submit: self.now,
-                    user: USERS[user].to_string(),
-                    qos_boost,
-                };
-                self.next_id += 1;
-                self.walltimes.push(job.walltime);
-                let [ca, cb] = &self.clusters;
-                let [sa, sb] = &mut self.scheds;
-                let accepted = sa.submit(job.clone(), ca);
-                prop_assert_eq!(accepted, sb.submit(job, cb));
-            }
-            Op::Advance(secs) => {
-                self.now += SimDuration::from_secs(secs);
-                self.running.sort();
-                let due = self.running.partition_point(|(end, _)| *end <= self.now);
-                for (end, alloc) in self.running.drain(..due).collect::<Vec<_>>() {
-                    self.finish(alloc, end);
-                }
-            }
-            Op::Finish(idx) => {
-                if !self.running.is_empty() {
-                    let (_, alloc) = self.running.remove(idx % self.running.len());
-                    self.finish(alloc, self.now);
-                }
-            }
-            Op::Fail(node) => {
-                for cluster in &mut self.clusters {
-                    cluster.fail_node(NodeId::new(node % node_count)).unwrap();
-                }
-            }
-            Op::Restore(node) => {
-                for cluster in &mut self.clusters {
-                    cluster
-                        .restore_node(NodeId::new(node % node_count))
-                        .unwrap();
-                }
-            }
-        }
-        Ok(())
-    }
+fn lockstep(shape: common::Shape, spec: PolicySpec) -> Lockstep {
+    let oracle =
+        BatchScheduler::custom(Box::new(OracleAdmit::new(spec))).with_priority(spec.calculator());
+    Lockstep::new(shape, [BatchScheduler::new(spec), oracle])
 }
 
 proptest! {
@@ -413,10 +192,10 @@ proptest! {
         ops in prop::collection::vec(op(), 1..80),
     ) {
         for spec in all_policies() {
-            let mut run = Lockstep::new(shape, spec);
+            let mut run = lockstep(shape, spec);
             for op in ops.iter().cloned() {
                 run.apply(op)?;
-                run.cycle(spec)?;
+                run.cycle(&spec.to_string())?;
             }
         }
     }
@@ -427,6 +206,7 @@ proptest! {
 /// is known to reach held queues and not only empty ones.
 #[test]
 fn lockstep_cases_hold_jobs() {
+    use common::Op;
     let ops: Vec<Op> = (0..40)
         .map(|i| match i % 5 {
             0 | 1 => Op::Submit(vec![(0, 3, vec![]), (1, 0, vec![(0, 1)])], 600, i % 3, 0.0),
@@ -436,11 +216,11 @@ fn lockstep_cases_hold_jobs() {
         })
         .collect();
     for spec in all_policies() {
-        let mut run = Lockstep::new((6, 1, 1, 0, 0), spec);
+        let mut run = lockstep((6, 1, 1, 0, 0), spec);
         run.apply(Op::Fail(0)).unwrap();
         for op in ops.iter().cloned() {
             run.apply(op).unwrap();
-            run.cycle(spec).unwrap();
+            run.cycle(&spec.to_string()).unwrap();
         }
         assert!(
             run.cycles >= 40 && run.holds > 40,

@@ -4,8 +4,10 @@
 //! [`CycleProbe`] hook (`hpcqc-sched::probe`) and measures, per planning
 //! cycle, where the scheduler's *wall* time goes: queue ordering, policy
 //! admission, live-cluster allocation. It also folds in the cycle-level
-//! stats the probe reports for free — queue depth and jobs started vs
-//! held.
+//! stats the probe reports for free — queue depth, jobs started vs held,
+//! and how many cycles built an availability profile, with how many
+//! segments. Those counts are exact: the same run reports the same
+//! numbers on any host.
 //!
 //! Wall-clock reads live *here*, in the harness layer, and nowhere near
 //! simulation state: timings flow out to reports only, never back into
@@ -56,6 +58,8 @@ pub struct SchedProfiler {
     queue_depth_max: usize,
     jobs_started: u64,
     jobs_held_sum: u128,
+    profile_builds: u64,
+    profile_segments: u64,
 }
 
 impl SchedProfiler {
@@ -73,6 +77,17 @@ impl SchedProfiler {
     /// Total jobs started across all observed cycles.
     pub fn jobs_started(&self) -> u64 {
         self.jobs_started
+    }
+
+    /// Cycles that built an availability profile (a cycle whose policy
+    /// never read the profile built none).
+    pub fn profile_builds(&self) -> u64 {
+        self.profile_builds
+    }
+
+    /// Segments summed over every profile built.
+    pub fn profile_segments(&self) -> u64 {
+        self.profile_segments
     }
 
     /// Total profiled wall time across all cycles, in nanoseconds.
@@ -114,7 +129,8 @@ impl SchedProfiler {
         format!(
             "scheduler profile: {} planning cycles, {:.3} ms wall \
              (mean {:.2} us/cycle, max {:.2} us)\n\
-             queue depth mean {:.1} max {}; jobs started {}, held per cycle mean {:.1}\n{}",
+             queue depth mean {:.1} max {}; jobs started {}, held per cycle mean {:.1}\n\
+             profile builds {} in {} cycles, {} segments\n{}",
             self.cycles,
             self.cycle_ns_total as f64 / 1e6,
             self.cycle_ns_total as f64 / 1e3 / cycles,
@@ -123,6 +139,9 @@ impl SchedProfiler {
             self.queue_depth_max,
             self.jobs_started,
             self.jobs_held_sum as f64 / cycles,
+            self.profile_builds,
+            self.cycles,
+            self.profile_segments,
             self.table().to_markdown(),
         )
     }
@@ -144,6 +163,11 @@ impl CycleProbe for SchedProfiler {
         if let Some(begun) = self.phase_begun.take() {
             self.phase_ns[phase_index(phase)] += begun.elapsed().as_nanos() as u64;
         }
+    }
+
+    fn profile_built(&mut self, segments: usize) {
+        self.profile_builds += 1;
+        self.profile_segments += segments as u64;
     }
 
     fn cycle_end(&mut self, started: usize, held: usize) {
@@ -171,9 +195,14 @@ mod tests {
         p.phase_end(CyclePhase::Admit);
         p.cycle_end(2, 3);
         p.cycle_start(SimTime::from_secs(60), 3);
+        p.profile_built(7);
         p.cycle_end(0, 3);
         assert_eq!(p.cycles(), 2);
         assert_eq!(p.jobs_started(), 2);
+        assert_eq!((p.profile_builds(), p.profile_segments()), (1, 7));
+        assert!(p
+            .summary()
+            .contains("profile builds 1 in 2 cycles, 7 segments"));
         assert_eq!(p.queue_depth_max, 5);
         assert!(p.total_ns() > 0);
     }

@@ -369,6 +369,29 @@ fn run_profile_reports_cycle_phases() {
 }
 
 #[test]
+fn run_profile_counts_availability_profile_builds_exactly() {
+    // The counts are deterministic work, not wall time: EASY builds the
+    // profile only in cycles where a head blocks, FCFS never reads it.
+    for (policy, line) in [
+        ("easy", "profile builds 858 in 860 cycles, 2055 segments"),
+        ("fcfs", "profile builds 0 in 856 cycles, 0 segments"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--workload"])
+            .arg(contended_workload())
+            .args(["--policy", policy, "--profile"])
+            .output()
+            .expect("run runs");
+        assert!(out.status.success(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(line),
+            "{policy}: `{line}` missing: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn run_hints_when_trace_is_used_as_input() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
         .args(["run", "--trace", "old-style.hqwf"])
