@@ -1,70 +1,22 @@
 //! Criterion benches of the scheduling cycle vs queue depth, per policy.
 //!
 //! Each measurement is one full `try_schedule` planning cycle — priority
-//! ordering, profile construction, and an admit/hold decision per queued
-//! job — against a fully occupied machine, so no job starts and the cycle
-//! is a pure planning pass of stable cost. Depths 10 / 1 000 / 100 000
-//! cover everything from an idle partition to a facility-scale backlog
-//! (the paper's workflow strategy puts one queue entry per *phase* in
-//! here, so cycle cost is its practical scalability limit).
+//! ordering, a live check per queued job, and the policy's profile
+//! planning — against a machine that running jobs fill, so no job starts
+//! and the cycle is a pure planning pass of stable cost. The kernel is
+//! [`hpcqc_bench::kernels::PlanningCycle`], which `bench-export` times
+//! too. Depths 10 / 1 000 / 100 000 cover everything from an idle
+//! partition to a facility-scale backlog (the paper's workflow strategy
+//! puts one queue entry per *phase* in here, so cycle cost is its
+//! practical scalability limit).
 //!
 //! The sibling `scheduler.rs` bench measures mixed start/backfill cycles
 //! at moderate depth; this one isolates pure planning throughput where
 //! the asymptotics show.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
-use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
-use hpcqc_cluster::gres::GresKind;
-use hpcqc_sched::scheduler::{BatchScheduler, PendingJob};
+use hpcqc_bench::kernels::PlanningCycle;
 use hpcqc_sched::PolicySpec;
-use hpcqc_simcore::rng::SimRng;
-use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_workload::job::JobId;
-
-const NODES: u32 = 128;
-
-/// A cluster with every node (and no QPU token) already allocated, so a
-/// scheduling cycle plans without starting anything.
-fn occupied_cluster() -> Cluster {
-    let mut cluster = ClusterBuilder::new()
-        .partition("classical", NODES)
-        .partition_with_gres("quantum", 0, GresKind::qpu(), 4)
-        .build(SimTime::ZERO);
-    cluster
-        .allocate(
-            &AllocRequest::new()
-                .group(GroupRequest::nodes("classical", NODES))
-                .group(GroupRequest::gres("quantum", GresKind::qpu(), 4)),
-            SimTime::ZERO,
-        )
-        .expect("blocker fits the empty machine");
-    cluster
-}
-
-fn queue_of(n: usize, cluster: &Cluster, policy: PolicySpec) -> BatchScheduler {
-    let mut sched = BatchScheduler::new(policy);
-    let mut rng = SimRng::seed_from(11);
-    for i in 0..n {
-        let nodes = 1 + rng.below(32) as u32;
-        let mut request = AllocRequest::new().group(GroupRequest::nodes("classical", nodes));
-        // Every eighth job is hybrid, so the quantum-aware ordering has
-        // gres lookups to do.
-        if i % 8 == 0 {
-            request = request.group(GroupRequest::gres("quantum", GresKind::qpu(), 1));
-        }
-        let job = PendingJob {
-            id: JobId::new(i as u64),
-            request,
-            walltime: SimDuration::from_secs(600 + rng.below(7_200)),
-            submit: SimTime::from_secs(i as u64),
-            user: format!("user{}", i % 8),
-            qos_boost: 0.0,
-        };
-        sched.submit(job, cluster).expect("fits machine");
-    }
-    sched
-}
 
 fn all_policies() -> [PolicySpec; 5] {
     [
@@ -81,15 +33,9 @@ fn bench_cycle_vs_depth(c: &mut Criterion) {
     group.sample_size(10);
     for policy in all_policies() {
         for &depth in &[10usize, 1_000, 100_000] {
-            let mut cluster = occupied_cluster();
-            let mut sched = queue_of(depth, &cluster, policy);
-            let now = SimTime::from_secs(200_000);
+            let mut kernel = PlanningCycle::new(policy, depth);
             group.bench_function(format!("{policy}_{depth}_queued"), |b| {
-                b.iter(|| {
-                    let started = sched.try_schedule(&mut cluster, now);
-                    assert!(started.is_empty(), "occupied machine starts nothing");
-                    started.len()
-                });
+                b.iter(|| kernel.cycle());
             });
         }
     }

@@ -6,7 +6,9 @@
 //! benchmark trajectory:
 //!
 //! * `BENCH_sched.json` — scheduler planning-cycle cost per policy and
-//!   queue depth (µs per cycle, lower is better); the kernel mirrors
+//!   queue depth, against a machine that running jobs fill (µs per
+//!   cycle, lower is better); the kernel is
+//!   [`hpcqc_bench::kernels::PlanningCycle`], shared with
 //!   `benches/sched.rs`.
 //! * `BENCH_streaming.json` — facility-simulation throughput on the
 //!   generate-only / streamed / materialized paths (jobs per second,
@@ -46,21 +48,17 @@
 //!
 //! `--quick` shrinks reps and problem sizes for smoke runs (CI uses it).
 
-use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
-use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
-use hpcqc_cluster::gres::GresKind;
+use hpcqc_bench::kernels::PlanningCycle;
 use hpcqc_core::FacilitySim;
 use hpcqc_core::{Scenario, Strategy};
 use hpcqc_faults::{DeviceFaults, DriftModel, FaultPlan, RecoverySpec};
 use hpcqc_fleet::{DeviceId, FleetCtx, FleetDevice, FleetSpec, RouteSpec, ALL_ROUTES};
 use hpcqc_gen::{GeneratorSpec, Horizon};
 use hpcqc_qpu::{Kernel, QpuDevice, Technology};
-use hpcqc_sched::scheduler::{BatchScheduler, PendingJob};
 use hpcqc_sched::PolicySpec;
 use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::rng::SimRng;
-use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_workload::job::JobId;
+use hpcqc_simcore::time::SimTime;
 use hpcqc_workload::{JobClass, Pattern, Workload};
 use serde::Serialize;
 use std::process::ExitCode;
@@ -101,46 +99,6 @@ fn sample<F: FnMut()>(reps: usize, mut work: F) -> (f64, f64, f64) {
     (secs[secs.len() / 2], secs[0], secs[secs.len() - 1])
 }
 
-/// A cluster with every node and QPU token allocated, so a scheduling
-/// cycle is a pure planning pass (mirrors `benches/sched.rs`).
-fn occupied_cluster(nodes: u32) -> Cluster {
-    let mut cluster = ClusterBuilder::new()
-        .partition("classical", nodes)
-        .partition_with_gres("quantum", 0, GresKind::qpu(), 4)
-        .build(SimTime::ZERO);
-    cluster
-        .allocate(
-            &AllocRequest::new()
-                .group(GroupRequest::nodes("classical", nodes))
-                .group(GroupRequest::gres("quantum", GresKind::qpu(), 4)),
-            SimTime::ZERO,
-        )
-        .expect("blocker fits the empty machine");
-    cluster
-}
-
-fn queue_of(n: usize, cluster: &Cluster, policy: PolicySpec) -> BatchScheduler {
-    let mut sched = BatchScheduler::new(policy);
-    let mut rng = SimRng::seed_from(11);
-    for i in 0..n {
-        let nodes = 1 + rng.below(32) as u32;
-        let mut request = AllocRequest::new().group(GroupRequest::nodes("classical", nodes));
-        if i % 8 == 0 {
-            request = request.group(GroupRequest::gres("quantum", GresKind::qpu(), 1));
-        }
-        let job = PendingJob {
-            id: JobId::new(i as u64),
-            request,
-            walltime: SimDuration::from_secs(600 + rng.below(7_200)),
-            submit: SimTime::from_secs(i as u64),
-            user: format!("user{}", i % 8),
-            qos_boost: 0.0,
-        };
-        sched.submit(job, cluster).expect("fits machine");
-    }
-    sched
-}
-
 fn sched_suite(reps: usize, quick: bool) -> Export {
     let policies = [
         PolicySpec::fcfs(),
@@ -157,12 +115,9 @@ fn sched_suite(reps: usize, quick: bool) -> Export {
     let mut results = Vec::new();
     for policy in policies {
         for &depth in depths {
-            let mut cluster = occupied_cluster(128);
-            let mut sched = queue_of(depth, &cluster, policy);
-            let now = SimTime::from_secs(200_000);
+            let mut kernel = PlanningCycle::new(policy, depth);
             let (median, min, max) = sample(reps, || {
-                let started = sched.try_schedule(&mut cluster, now);
-                assert!(started.is_empty(), "occupied machine starts nothing");
+                kernel.cycle();
             });
             let to_us = 1e6;
             results.push(BenchResult {

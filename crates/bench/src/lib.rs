@@ -20,4 +20,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
+pub mod kernels;
 pub mod workloads;

@@ -12,6 +12,7 @@ use crate::gres::GresKind;
 use crate::ids::{AllocationId, NodeId, PartitionId};
 use crate::node::{Node, NodeShape, NodeState};
 use crate::partition::Partition;
+use crate::resources::{ResourceIndex, ResourceRow};
 use hpcqc_simcore::stats::BusyTracker;
 use hpcqc_simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,6 +142,7 @@ impl ClusterBuilder {
 
         Cluster {
             nodes,
+            resources: ResourceIndex::new(&partitions),
             partitions,
             by_name,
             free,
@@ -162,6 +164,8 @@ impl ClusterBuilder {
 pub struct Cluster {
     nodes: Vec<Node>,
     partitions: Vec<Partition>,
+    /// The dense slot layout of the partitions and their gres pools.
+    resources: ResourceIndex,
     by_name: BTreeMap<String, PartitionId>,
     /// Free schedulable nodes per partition (BTreeSet ⇒ deterministic pick order).
     free: Vec<BTreeSet<NodeId>>,
@@ -206,15 +210,6 @@ impl Miss<'_> {
             Miss::Gres { .. } => Shortfall::Gres,
         }
     }
-}
-
-/// What [`Cluster::first_miss`] measures a request against.
-#[derive(Clone, Copy)]
-enum Basis {
-    /// Free schedulable nodes and available gres units right now.
-    Free,
-    /// Every node and every gres unit the machine has.
-    Total,
 }
 
 impl Cluster {
@@ -297,7 +292,7 @@ impl Cluster {
     /// lowest-id partition short of nodes, else the first missing or short
     /// gres pool by `(partition id, kind)`.
     pub fn can_allocate(&self, request: &AllocRequest) -> Result<(), ClusterError> {
-        match self.first_miss(request, Basis::Free) {
+        match self.first_miss(request) {
             None => Ok(()),
             Some(miss) => Err(self.error_of(miss)),
         }
@@ -306,28 +301,127 @@ impl Cluster {
     /// Classifies `request` against free capacity right now: `None` exactly
     /// when [`Cluster::can_allocate`] succeeds, otherwise the kind of its
     /// error. Unlike `can_allocate` it allocates nothing and formats
-    /// nothing, so a scheduler can ask it of every held job on every cycle.
+    /// nothing. A scheduler that checks many jobs per cycle compares rows
+    /// instead ([`ResourceIndex::shortfall`] on [`Cluster::demand_row`]
+    /// and [`Cluster::free_row`]), which classifies the same way.
     pub fn shortfall(&self, request: &AllocRequest) -> Option<Shortfall> {
-        self.first_miss(request, Basis::Free).map(Miss::shortfall)
+        self.first_miss(request).map(Miss::shortfall)
     }
 
     /// Classifies `request` against total capacity, as if every node were
     /// in service and every gres unit free: `None` if the request could
-    /// ever be granted, else why it never can. Like
-    /// [`Cluster::shortfall`] it allocates nothing. An empty request, a
-    /// group on an unknown partition and a gres pool the partition lacks
-    /// all miss here whatever their counts, so a scheduler can reject
-    /// them at submission instead of holding them forever.
+    /// ever be granted, else why it never can (the error of
+    /// [`Cluster::demand_row`]).
     pub fn capacity_shortfall(&self, request: &AllocRequest) -> Option<Shortfall> {
-        self.first_miss(request, Basis::Total).map(Miss::shortfall)
+        self.demand_row(request).err()
     }
 
-    /// The one accumulation pass behind [`Cluster::can_allocate`],
-    /// [`Cluster::shortfall`] and [`Cluster::capacity_shortfall`]. Demands
-    /// on the same partition or pool accumulate across groups: each is
-    /// totalled once, at its first mention, by rescanning the (few) groups
-    /// instead of building maps.
-    fn first_miss<'r>(&self, request: &'r AllocRequest, basis: Basis) -> Option<Miss<'r>> {
+    /// The dense slot layout of this cluster's partitions and gres pools,
+    /// fixed when it was built.
+    pub fn resources(&self) -> &ResourceIndex {
+        &self.resources
+    }
+
+    /// The node slot of a partition, if it exists and has nodes.
+    pub fn node_slot(&self, partition: &str) -> Option<usize> {
+        let pid = self.by_name.get(partition)?;
+        self.resources.node_slot(pid.raw() as usize)
+    }
+
+    /// The slot of a partition's gres pool of `kind`, if both exist.
+    pub fn gres_slot(&self, partition: &str, kind: &GresKind) -> Option<usize> {
+        let pidx = self.by_name.get(partition)?.raw() as usize;
+        let pool = self.partitions[pidx]
+            .gres_pools()
+            .iter()
+            .position(|p| p.kind() == kind)?;
+        Some(self.resources.gres_slot(pidx, pool))
+    }
+
+    /// Free capacity right now, one count per slot: free schedulable nodes
+    /// per partition and available units per gres pool.
+    pub fn free_row(&self) -> ResourceRow {
+        let mut row = ResourceRow::zeros(self.resources.width());
+        for (pidx, part) in self.partitions.iter().enumerate() {
+            if let Some(slot) = self.resources.node_slot(pidx) {
+                row[slot] = self.free[pidx].len() as u32;
+            }
+            for (k, pool) in part.gres_pools().iter().enumerate() {
+                row[self.resources.gres_slot(pidx, k)] = pool.available();
+            }
+        }
+        row
+    }
+
+    /// The footprint of `request` as a dense row, checked against total
+    /// capacity in the same pass: demands on one partition or pool
+    /// accumulate across groups.
+    ///
+    /// # Errors
+    ///
+    /// Why the request can never be granted, as if every node were in
+    /// service and every gres unit free: [`Shortfall::Invalid`] for an
+    /// empty request or a group on an unknown partition,
+    /// [`Shortfall::Nodes`] if a partition has too few nodes in total,
+    /// else [`Shortfall::Gres`] if a pool is too small or the partition
+    /// lacks it, whatever the count. A scheduler rejects these at
+    /// submission instead of holding them forever.
+    pub fn demand_row(&self, request: &AllocRequest) -> Result<ResourceRow, Shortfall> {
+        if request.is_empty() {
+            return Err(Shortfall::Invalid);
+        }
+        let index = &self.resources;
+        let mut row = ResourceRow::zeros(index.width());
+        // Nodes asked of a node-less partition, a pool the partition
+        // lacks, and whether a group naming a missing pool bears gres.
+        let mut nodeless_short = false;
+        let mut pool_missing = false;
+        let mut missing_bearing = false;
+        for g in request.groups() {
+            let pidx = self
+                .by_name
+                .get(g.partition.as_str())
+                .ok_or(Shortfall::Invalid)?
+                .raw() as usize;
+            match index.node_slot(pidx) {
+                Some(slot) => row[slot] = row[slot].saturating_add(g.nodes),
+                None => nodeless_short |= g.nodes > 0,
+            }
+            let pools = self.partitions[pidx].gres_pools();
+            for (kind, n) in &g.gres {
+                match pools.iter().position(|p| p.kind() == kind) {
+                    Some(k) => {
+                        let slot = index.gres_slot(pidx, k);
+                        row[slot] = row[slot].saturating_add(*n);
+                    }
+                    None => {
+                        pool_missing = true;
+                        missing_bearing |= g.gres.iter().any(|(_, n)| *n > 0);
+                    }
+                }
+            }
+        }
+        let (nodes_short, gres_short) = match index.shortfall(&row, index.total()) {
+            None => (nodeless_short, false),
+            Some(Shortfall::Nodes { gres_also_short }) => (true, gres_also_short),
+            Some(_) => (nodeless_short, true),
+        };
+        if nodes_short {
+            Err(Shortfall::Nodes {
+                gres_also_short: gres_short || missing_bearing,
+            })
+        } else if gres_short || pool_missing {
+            Err(Shortfall::Gres)
+        } else {
+            Ok(row)
+        }
+    }
+
+    /// The one accumulation pass behind [`Cluster::can_allocate`] and
+    /// [`Cluster::shortfall`]. Demands on the same partition or pool
+    /// accumulate across groups: each is totalled once, at its first
+    /// mention, by rescanning the (few) groups instead of building maps.
+    fn first_miss<'r>(&self, request: &'r AllocRequest) -> Option<Miss<'r>> {
         if request.is_empty() {
             return Some(Miss::Empty);
         }
@@ -346,10 +440,7 @@ impl Cluster {
             let from_here = || groups[i..].iter().filter(same_partition);
             if !groups[..i].iter().any(|h| same_partition(&h)) {
                 let need: u32 = from_here().map(|h| h.nodes).sum();
-                let have = match basis {
-                    Basis::Free => self.free[pid.raw() as usize].len() as u32,
-                    Basis::Total => self.partitions[pid.raw() as usize].node_count() as u32,
-                };
+                let have = self.free[pid.raw() as usize].len() as u32;
                 if have < need && nodes_short.is_none_or(|(first, ..)| pid < first) {
                     nodes_short = Some((pid, need, have));
                 }
@@ -370,10 +461,7 @@ impl Cluster {
                     .sum();
                 let available = self.partitions[pid.raw() as usize]
                     .gres_pool(kind)
-                    .map(|pool| match basis {
-                        Basis::Free => pool.available(),
-                        Basis::Total => pool.capacity(),
-                    });
+                    .map(|pool| pool.available());
                 if available.is_some_and(|have| have >= need) {
                     continue;
                 }

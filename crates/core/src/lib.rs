@@ -87,7 +87,7 @@ pub use hpcqc_faults::{
 };
 pub use observer::{PhaseKind, SimEvent, SimObserver};
 pub use outcome::{DeviceSummary, Outcome, WasteSummary};
-pub use scenario::{FailureModel, Scenario, ScenarioBuilder, WalltimePolicy};
+pub use scenario::{FailureModel, Scenario, ScenarioBuilder, ScenarioError, WalltimePolicy};
 pub use sim::{FacilitySim, SimError};
 pub use source::{IterSource, JobSource, SliceSource};
 pub use strategy::Strategy;

@@ -193,7 +193,46 @@ impl Scenario {
             .get(index)
             .map(|d| d.technology)
     }
+
+    /// Checks what [`ScenarioBuilder::build`] asserts, for a scenario
+    /// that came from untrusted input (a JSON file) rather than the
+    /// builder.
+    ///
+    /// # Errors
+    ///
+    /// The first reason the scenario cannot be simulated.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        if self.classical_nodes == 0 {
+            Err(ScenarioError::NoClassicalNodes)
+        } else if self.device_count() == 0 {
+            Err(ScenarioError::NoQpuDevices)
+        } else {
+            Ok(())
+        }
+    }
 }
+
+/// Why a [`Scenario`] cannot be simulated (see [`Scenario::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// `classical_nodes` is 0.
+    NoClassicalNodes,
+    /// The effective fleet has no QPU device.
+    NoQpuDevices,
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::NoClassicalNodes => {
+                f.write_str("scenario needs classical nodes: classical_nodes must be positive")
+            }
+            ScenarioError::NoQpuDevices => f.write_str("scenario needs at least one QPU device"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 impl Default for Scenario {
     fn default() -> Self {
@@ -388,6 +427,19 @@ mod tests {
             Scenario::default().walltime_policy,
             WalltimePolicy::Advisory
         );
+    }
+
+    #[test]
+    fn validate_names_what_build_asserts() {
+        assert_eq!(Scenario::default().validate(), Ok(()));
+        let s = Scenario {
+            classical_nodes: 0,
+            ..Scenario::default()
+        };
+        assert_eq!(s.validate(), Err(ScenarioError::NoClassicalNodes));
+        let mut s = Scenario::default();
+        s.devices.clear();
+        assert_eq!(s.validate(), Err(ScenarioError::NoQpuDevices));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! within: a SLURM-like batch scheduler with priority queues, heterogeneous
 //! (multi-partition) co-allocation, and a pluggable queue-policy API.
 //!
-//! * [`demand`] — flattened resource vectors and the free-capacity
-//!   [`Profile`] timeline backfill planning runs on;
+//! * [`demand`] — the free-capacity [`Profile`] timeline backfill
+//!   planning runs on, over the cluster's dense resource rows
+//!   ([`ResourceRow`](hpcqc_cluster::ResourceRow));
 //! * [`priority`] — multifactor priority (age, size, QoS, decayed
 //!   fairshare);
 //! * [`policy`] — the open [`QueuePolicy`] trait, its [`SchedCtx`]
@@ -18,8 +19,9 @@
 //!   (profilers, tracers) watch each planning cycle's phases without the
 //!   scheduler ever reading a clock;
 //! * [`scheduler`] — the policy-agnostic [`BatchScheduler`] cycle loop,
-//!   and the [`ProfileCell`] that builds a cycle's [`Profile`] only when
-//!   a policy reads it.
+//!   the [`QueuedJob`] that carries each job's demand row from submit
+//!   on, and the [`ProfileCell`] that builds a cycle's [`Profile`] only
+//!   when a policy reads it.
 //!
 //! ## Example: Listing 1 through the scheduler
 //!
@@ -59,11 +61,11 @@ pub mod priority;
 pub mod probe;
 pub mod scheduler;
 
-pub use demand::{Demand, Profile};
+pub use demand::Profile;
 pub use policy::{
     sort_by_score, sort_multifactor, Discipline, HoldReason, ParsePolicyError, PolicySpec,
     QueuePolicy, SchedCtx, Verdict, ALL_HOLD_REASONS, POLICY_FORMS,
 };
 pub use priority::{PriorityCalculator, PriorityWeights};
 pub use probe::{CyclePhase, CycleProbe, NoProbe};
-pub use scheduler::{BatchScheduler, PendingJob, ProfileCell, SchedError, StartedJob};
+pub use scheduler::{BatchScheduler, PendingJob, ProfileCell, QueuedJob, SchedError, StartedJob};

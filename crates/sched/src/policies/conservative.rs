@@ -1,8 +1,7 @@
 //! Conservative backfilling.
 
-use crate::demand::Demand;
 use crate::policy::{sort_multifactor, HoldReason, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 
 /// Conservative backfilling: *every* job that cannot start now reserves
 /// its earliest feasible slot, so a later job may jump ahead only if it
@@ -23,18 +22,18 @@ impl QueuePolicy for ConservativeBackfill {
         "conservative-backfill"
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         sort_multifactor(queue, ctx);
     }
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        let live = ctx.live_check(&job.request);
+        let demand = job.demand();
+        let live = ctx.live_check(demand);
         // Every job walks the profile, so conservative builds it in every
         // cycle with a queue.
         let profile = profile.get();
@@ -44,10 +43,7 @@ impl QueuePolicy for ConservativeBackfill {
             profile.reserve(demand, slot, job.walltime);
             // Fits the live machine but not the reservation timeline →
             // an earlier job's reservation is what the job waits on.
-            Verdict::Hold(match live {
-                Ok(()) | Err(HoldReason::PolicyHold) => HoldReason::HeadShadow,
-                Err(reason) => reason,
-            })
+            Verdict::Hold(live.err().unwrap_or(HoldReason::HeadShadow))
         } else {
             match live {
                 Ok(()) => Verdict::Start,

@@ -1,9 +1,8 @@
 //! EASY backfilling.
 
 use super::{easy_admit, easy_held};
-use crate::demand::Demand;
 use crate::policy::{sort_multifactor, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 
 /// EASY backfilling, the default on most production systems: the first
 /// job that cannot start (the head) gets a reservation at its earliest
@@ -62,27 +61,20 @@ impl QueuePolicy for EasyBackfill {
         self.head_blocked = false;
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         sort_multifactor(queue, ctx);
     }
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        easy_admit(self.head_blocked, job, demand, profile, ctx)
+        easy_admit(self.head_blocked, job, profile, ctx)
     }
 
-    fn held(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut ProfileCell<'_>,
-        ctx: &SchedCtx<'_>,
-    ) {
-        easy_held(&mut self.head_blocked, job, demand, profile, ctx);
+    fn held(&mut self, job: &QueuedJob, profile: &mut ProfileCell<'_>, ctx: &SchedCtx<'_>) {
+        easy_held(&mut self.head_blocked, job, profile, ctx);
     }
 }

@@ -1,8 +1,7 @@
 //! Strict first-come-first-served.
 
-use crate::demand::Demand;
 use crate::policy::{sort_multifactor, HoldReason, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 
 /// Strict FCFS: the queue (in priority order) starts from the front until
 /// the first job that does not fit; everything behind it waits, however
@@ -29,18 +28,17 @@ impl QueuePolicy for Fcfs {
         self.blocked = false;
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         sort_multifactor(queue, ctx);
     }
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        _demand: &Demand,
+        job: &QueuedJob,
         _profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        match ctx.live_check(&job.request) {
+        match ctx.live_check(job.demand()) {
             Ok(()) if !self.blocked => Verdict::Start,
             // The machine would fit the job: pure head-of-line blocking.
             Ok(()) => Verdict::Hold(HoldReason::PolicyHold),
@@ -48,13 +46,7 @@ impl QueuePolicy for Fcfs {
         }
     }
 
-    fn held(
-        &mut self,
-        _job: &PendingJob,
-        _demand: &Demand,
-        _profile: &mut ProfileCell<'_>,
-        _ctx: &SchedCtx<'_>,
-    ) {
+    fn held(&mut self, _job: &QueuedJob, _profile: &mut ProfileCell<'_>, _ctx: &SchedCtx<'_>) {
         self.blocked = true;
     }
 }

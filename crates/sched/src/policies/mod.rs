@@ -13,9 +13,8 @@
 //! away (see the worked example on [`crate::policy`]) and runs through
 //! [`BatchScheduler::custom`](crate::BatchScheduler::custom).
 
-use crate::demand::Demand;
 use crate::policy::{HoldReason, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 use hpcqc_simcore::time::SimTime;
 
 mod conservative;
@@ -40,24 +39,23 @@ pub use quantum::QuantumAware;
 /// the machine could place right now, and only once the head is blocked.
 pub(crate) fn easy_admit(
     head_blocked: bool,
-    job: &PendingJob,
-    demand: &Demand,
+    job: &QueuedJob,
     profile: &mut ProfileCell<'_>,
     ctx: &SchedCtx<'_>,
 ) -> Verdict {
-    match ctx.live_check(&job.request) {
+    match ctx.live_check(job.demand()) {
         Ok(())
             if !head_blocked
-                || profile.get().find_slot(demand, job.walltime, ctx.now()) == ctx.now() =>
+                || profile
+                    .get()
+                    .find_slot(job.demand(), job.walltime, ctx.now())
+                    == ctx.now() =>
         {
             Verdict::Start
         }
         // The machine would fit the job right now; only the head's shadow
         // reservation stands in the way.
         Ok(()) => Verdict::Hold(HoldReason::HeadShadow),
-        // A request no capacity can judge (empty, or naming an unknown
-        // partition) is blamed on the shadow too, like a job that fits.
-        Err(HoldReason::PolicyHold) if head_blocked => Verdict::Hold(HoldReason::HeadShadow),
         Err(reason) => Verdict::Hold(reason),
     }
 }
@@ -67,17 +65,16 @@ pub(crate) fn easy_admit(
 /// backfilled later in the cycle can delay it.
 pub(crate) fn easy_held(
     head_blocked: &mut bool,
-    job: &PendingJob,
-    demand: &Demand,
+    job: &QueuedJob,
     profile: &mut ProfileCell<'_>,
     ctx: &SchedCtx<'_>,
 ) {
     if !*head_blocked {
         *head_blocked = true;
         let profile = profile.get();
-        let shadow = profile.find_slot(demand, job.walltime, ctx.now());
+        let shadow = profile.find_slot(job.demand(), job.walltime, ctx.now());
         if shadow != SimTime::MAX {
-            profile.reserve(demand, shadow, job.walltime);
+            profile.reserve(job.demand(), shadow, job.walltime);
         }
     }
 }

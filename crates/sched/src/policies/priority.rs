@@ -1,9 +1,8 @@
 //! Priority-ordered backfilling with hard aging.
 
 use super::{easy_admit, easy_held};
-use crate::demand::Demand;
 use crate::policy::{sort_by_score, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 
 /// EASY mechanics driven purely by the multifactor priority, plus *hard
 /// aging*: a job queued longer than `escalate_after_hours` escalates past
@@ -75,7 +74,7 @@ impl QueuePolicy for PriorityBackfill {
         self.head_blocked = false;
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         // Escalated jobs score +∞, sorting above every finite priority;
         // ties among the escalated fall to `sort_by_score`'s submit-time
         // tiebreak — i.e. oldest escalated job first.
@@ -92,21 +91,14 @@ impl QueuePolicy for PriorityBackfill {
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        easy_admit(self.head_blocked, job, demand, profile, ctx)
+        easy_admit(self.head_blocked, job, profile, ctx)
     }
 
-    fn held(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut ProfileCell<'_>,
-        ctx: &SchedCtx<'_>,
-    ) {
-        easy_held(&mut self.head_blocked, job, demand, profile, ctx);
+    fn held(&mut self, job: &QueuedJob, profile: &mut ProfileCell<'_>, ctx: &SchedCtx<'_>) {
+        easy_held(&mut self.head_blocked, job, profile, ctx);
     }
 }

@@ -1,9 +1,8 @@
 //! Quantum-aware backfilling: minimize idle-QPU time.
 
 use super::{easy_admit, easy_held};
-use crate::demand::Demand;
 use crate::policy::{sort_by_score, QueuePolicy, SchedCtx, Verdict};
-use crate::scheduler::{PendingJob, ProfileCell};
+use crate::scheduler::{ProfileCell, QueuedJob};
 use hpcqc_cluster::gres::GresKind;
 
 /// EASY mechanics plus an idle-QPU boost, after SCIM MILQ (Seitz et al.):
@@ -88,11 +87,12 @@ impl QueuePolicy for QuantumAware {
         self.head_blocked = false;
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         let qpu = GresKind::qpu();
         let qpu_idle = ctx.free_gres(&qpu) > 0;
+        let qpu_slots: Vec<usize> = ctx.cluster().resources().gres_slots(&qpu).collect();
         sort_by_score(queue, |job| {
-            if qpu_idle && job.request.total_gres(&qpu) > 0 {
+            if qpu_idle && qpu_slots.iter().any(|&slot| job.demand()[slot] > 0) {
                 ctx.priority_of(job) + self.idle_boost
             } else {
                 ctx.priority_of(job)
@@ -102,21 +102,14 @@ impl QueuePolicy for QuantumAware {
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        easy_admit(self.head_blocked, job, demand, profile, ctx)
+        easy_admit(self.head_blocked, job, profile, ctx)
     }
 
-    fn held(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut ProfileCell<'_>,
-        ctx: &SchedCtx<'_>,
-    ) {
-        easy_held(&mut self.head_blocked, job, demand, profile, ctx);
+    fn held(&mut self, job: &QueuedJob, profile: &mut ProfileCell<'_>, ctx: &SchedCtx<'_>) {
+        easy_held(&mut self.head_blocked, job, profile, ctx);
     }
 }

@@ -7,7 +7,10 @@
 //! is policy-agnostic:
 //! every scheduling cycle it asks the policy to order the queue, then
 //! walks it asking `admit` for each job, allocating the admitted ones and
-//! telling the policy about the held ones. Both hooks receive the cycle's
+//! telling the policy about the held ones. Every queued job is a
+//! [`QueuedJob`] carrying its demand row, computed once at submit; the
+//! [`SchedCtx`] carries the cycle's free row, so the live check is a
+//! slot-wise integer compare. Both hooks receive the cycle's
 //! free-capacity [`Profile`](crate::Profile) behind a [`ProfileCell`],
 //! which builds it on the policy's first [`get`](ProfileCell::get): a
 //! policy that decides on the live cluster alone never pays for one.
@@ -24,7 +27,7 @@
 //! ```
 //! use hpcqc_cluster::{AllocRequest, ClusterBuilder, GroupRequest};
 //! use hpcqc_sched::policy::{QueuePolicy, SchedCtx, Verdict};
-//! use hpcqc_sched::{BatchScheduler, Demand, PendingJob, ProfileCell};
+//! use hpcqc_sched::{BatchScheduler, PendingJob, ProfileCell, QueuedJob};
 //! use hpcqc_simcore::time::{SimDuration, SimTime};
 //! use hpcqc_workload::JobId;
 //!
@@ -37,22 +40,22 @@
 //!         "lifo"
 //!     }
 //!
-//!     fn order(&mut self, queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {
+//!     fn order(&mut self, queue: &mut [QueuedJob], _ctx: &SchedCtx<'_>) {
 //!         queue.sort_by(|a, b| b.submit.cmp(&a.submit).then(b.id.cmp(&a.id)));
 //!     }
 //!
 //!     fn admit(
 //!         &mut self,
-//!         job: &PendingJob,
-//!         _demand: &Demand,
+//!         job: &QueuedJob,
 //!         _profile: &mut ProfileCell<'_>,
 //!         ctx: &SchedCtx<'_>,
 //!     ) -> Verdict {
-//!         // One live check decides the job: its failure already names
-//!         // the binding shortage for the attribution layer
+//!         // One live check decides the job: the job's demand row against
+//!         // the cycle's free row, slot by slot. Its failure already
+//!         // names the binding shortage for the attribution layer
 //!         // (insufficient nodes, QPU tokens, …). LIFO plans no future,
 //!         // so it never calls `_profile.get()` and no cycle builds one.
-//!         match ctx.live_check(&job.request) {
+//!         match ctx.live_check(job.demand()) {
 //!             Ok(()) => Verdict::Start,
 //!             Err(reason) => Verdict::Hold(reason),
 //!         }
@@ -81,14 +84,13 @@
 //! # Ok::<(), hpcqc_sched::SchedError>(())
 //! ```
 
-use crate::demand::Demand;
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
-use crate::scheduler::{PendingJob, ProfileCell};
-use hpcqc_cluster::alloc::AllocRequest;
+use crate::scheduler::{PendingJob, ProfileCell, QueuedJob};
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::Shortfall;
 use hpcqc_cluster::gres::GresKind;
+use hpcqc_cluster::resources::ResourceRow;
 use hpcqc_simcore::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Reverse;
@@ -198,13 +200,15 @@ pub enum Verdict {
 /// Read-only capability handle a [`QueuePolicy`] decides against.
 ///
 /// Exposes exactly what a queueing discipline may observe: the cycle
-/// instant, the live cluster (free capacity, gres availability) and the
-/// scheduler's multifactor priority of any queued job. Mutation stays
-/// with the scheduler.
+/// instant, the live cluster and its free capacity as a dense row (the
+/// row read at the start of the cycle, reduced by every start since),
+/// and the scheduler's multifactor priority of any queued job. Mutation
+/// stays with the scheduler.
 #[derive(Debug)]
 pub struct SchedCtx<'a> {
     now: SimTime,
     cluster: &'a Cluster,
+    free: &'a ResourceRow,
     priority: &'a PriorityCalculator,
 }
 
@@ -212,11 +216,13 @@ impl<'a> SchedCtx<'a> {
     pub(crate) fn new(
         now: SimTime,
         cluster: &'a Cluster,
+        free: &'a ResourceRow,
         priority: &'a PriorityCalculator,
     ) -> Self {
         SchedCtx {
             now,
             cluster,
+            free,
             priority,
         }
     }
@@ -243,11 +249,14 @@ impl<'a> SchedCtx<'a> {
         )
     }
 
-    /// The single live classification of `request`: `Ok(())` if the live
-    /// cluster can satisfy it right now, else the [`HoldReason`] naming
-    /// the binding shortage. One allocation-free pass over the request
-    /// ([`Cluster::shortfall`]), so a policy that calls it once per job
-    /// gets both its start decision and its hold reason from it.
+    /// The single live classification of a queued job's `demand` row
+    /// ([`QueuedJob::demand`]): `Ok(())` if the live cluster can satisfy
+    /// it right now, else the [`HoldReason`] naming the binding shortage.
+    /// One slot-wise compare against the free row
+    /// ([`ResourceIndex::shortfall`](hpcqc_cluster::ResourceIndex::shortfall)),
+    /// classifying exactly as [`Cluster::shortfall`] does the job's
+    /// request, so a policy that calls it once per job gets both its
+    /// start decision and its hold reason from it.
     ///
     /// When *both* the node pool and the request's gres tokens are
     /// exhausted, the gres wins the blame: even a cluster with infinite
@@ -255,24 +264,22 @@ impl<'a> SchedCtx<'a> {
     /// constraint. (Nodes recycle every few minutes as batch jobs drain;
     /// a co-scheduled QPU token is pinned for a whole hybrid campaign —
     /// attributing the scarcer, slower-recycling resource is what makes
-    /// the wait ledger actionable.) A request that can never be granted
-    /// as written (empty, or naming an unknown partition) reads
-    /// [`HoldReason::PolicyHold`].
+    /// the wait ledger actionable.)
     ///
     /// # Errors
     ///
-    /// The hold reason, when the request does not fit right now.
-    pub fn live_check(&self, request: &AllocRequest) -> Result<(), HoldReason> {
-        match self.cluster.shortfall(request) {
+    /// The hold reason, when the demand does not fit right now.
+    pub fn live_check(&self, demand: &ResourceRow) -> Result<(), HoldReason> {
+        match self.cluster.resources().shortfall(demand, self.free) {
             None => Ok(()),
             Some(shortfall) => Err(shortfall.into()),
         }
     }
 
-    /// `true` if the live cluster can satisfy `request` right now
+    /// `true` if the live cluster can satisfy `demand` right now
     /// (see [`SchedCtx::live_check`]).
-    pub fn can_allocate(&self, request: &AllocRequest) -> bool {
-        self.live_check(request).is_ok()
+    pub fn can_allocate(&self, demand: &ResourceRow) -> bool {
+        self.live_check(demand).is_ok()
     }
 
     /// Why `request` is not running right now: the binding resource
@@ -281,8 +288,8 @@ impl<'a> SchedCtx<'a> {
     /// (the hold is the policy's own doing). Purely read-only. A policy
     /// that also needs the start decision should call `live_check` once
     /// instead of `can_allocate` followed by this.
-    pub fn hold_reason(&self, request: &AllocRequest) -> HoldReason {
-        self.live_check(request)
+    pub fn hold_reason(&self, demand: &ResourceRow) -> HoldReason {
+        self.live_check(demand)
             .err()
             .unwrap_or(HoldReason::PolicyHold)
     }
@@ -291,11 +298,9 @@ impl<'a> SchedCtx<'a> {
     /// QPU tokens — what [`crate::policies::QuantumAware`] keys on).
     pub fn free_gres(&self, kind: &GresKind) -> u32 {
         self.cluster
-            .partitions()
-            .iter()
-            .flat_map(|p| p.gres_pools().iter())
-            .filter(|pool| pool.kind() == kind)
-            .map(|pool| pool.available())
+            .resources()
+            .gres_slots(kind)
+            .map(|slot| self.free[slot])
             .sum()
     }
 }
@@ -317,25 +322,25 @@ pub trait QueuePolicy: fmt::Debug + Send {
 
     /// Orders the queue for this cycle, most-preferred first. The
     /// scheduler walks the queue in this order.
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>);
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>);
 
-    /// Decides whether `job` (the next in order) may start now. `demand`
-    /// is the job's flattened footprint; `profile` holds the cycle's
-    /// free-capacity timeline, built on the first
-    /// [`get`](ProfileCell::get) of the cycle and already carrying every
-    /// reservation made earlier in the cycle (a policy may carve further
-    /// reservations).
+    /// Decides whether `job` (the next in order) may start now.
+    /// [`job.demand()`](QueuedJob::demand) is its footprint as a dense
+    /// row; `profile` holds the cycle's free-capacity timeline, built on
+    /// the first [`get`](ProfileCell::get) of the cycle and already
+    /// carrying every reservation made earlier in the cycle (a policy may
+    /// carve further reservations).
     ///
-    /// Call [`SchedCtx::live_check`] once and let its error be the hold
-    /// reason; it is the cheapest check, so run it before any profile
-    /// walk, and call `profile.get()` only for a job the live cluster can
-    /// place and only when the decision needs the future. Every built-in
-    /// policy but conservative backfill follows this pattern, so a cycle
-    /// in which every examined job starts builds no profile.
+    /// Call [`SchedCtx::live_check`] once with `job.demand()` and let its
+    /// error be the hold reason; it is the cheapest check, so run it
+    /// before any profile walk, and call `profile.get()` only for a job
+    /// the live cluster can place and only when the decision needs the
+    /// future. Every built-in policy but conservative backfill follows
+    /// this pattern, so a cycle in which every examined job starts builds
+    /// no profile.
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict;
@@ -346,14 +351,7 @@ pub trait QueuePolicy: fmt::Debug + Send {
     /// the job with a reservation here (EASY protects the first held job,
     /// its "head"), through the same lazily built `profile` as
     /// [`admit`](QueuePolicy::admit).
-    fn held(
-        &mut self,
-        _job: &PendingJob,
-        _demand: &Demand,
-        _profile: &mut ProfileCell<'_>,
-        _ctx: &SchedCtx<'_>,
-    ) {
-    }
+    fn held(&mut self, _job: &QueuedJob, _profile: &mut ProfileCell<'_>, _ctx: &SchedCtx<'_>) {}
 }
 
 /// Total-order wrapper so `f64` priorities can key a sort.
@@ -377,13 +375,13 @@ impl Ord for OrdF64 {
 /// Sorts a queue by multifactor priority (highest first), ties broken by
 /// submit time then job id — the ordering every built-in policy starts
 /// from. Custom policies can call this and then locally adjust.
-pub fn sort_multifactor(queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+pub fn sort_multifactor(queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
     sort_by_score(queue, |job| ctx.priority_of(job));
 }
 
 /// Sorts a queue by an arbitrary score (highest first), ties broken by
 /// submit time then job id. The score is evaluated once per job.
-pub fn sort_by_score(queue: &mut [PendingJob], mut score: impl FnMut(&PendingJob) -> f64) {
+pub fn sort_by_score(queue: &mut [QueuedJob], mut score: impl FnMut(&QueuedJob) -> f64) {
     queue.sort_by_cached_key(|job| (Reverse(OrdF64(score(job))), job.submit, job.id));
 }
 

@@ -12,7 +12,7 @@
 //! pays one queue wait per step, and that wait depends directly on the
 //! queue policy in force.
 
-use crate::demand::{Demand, Profile};
+use crate::demand::Profile;
 use crate::policy::{HoldReason, PolicySpec, QueuePolicy, SchedCtx, Verdict};
 use crate::priority::PriorityCalculator;
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
@@ -20,11 +20,13 @@ use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::Shortfall;
 use hpcqc_cluster::ids::AllocationId;
+use hpcqc_cluster::resources::ResourceRow;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::job::JobId;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 
 /// Why the scheduler rejected a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +75,33 @@ pub struct PendingJob {
     pub qos_boost: f64,
 }
 
+/// A job in the scheduler queue: the submitted [`PendingJob`] and its
+/// demand row, computed once by [`BatchScheduler::submit`]. Dereferences
+/// to the `PendingJob`, so a policy reads `job.id` or `job.walltime`
+/// directly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueuedJob {
+    job: PendingJob,
+    demand: ResourceRow,
+}
+
+impl QueuedJob {
+    /// The job's footprint, one count per slot of the cluster's
+    /// [`ResourceIndex`](hpcqc_cluster::ResourceIndex): what every live
+    /// check and profile walk compares against free capacity.
+    pub fn demand(&self) -> &ResourceRow {
+        &self.demand
+    }
+}
+
+impl Deref for QueuedJob {
+    type Target = PendingJob;
+
+    fn deref(&self) -> &PendingJob {
+        &self.job
+    }
+}
+
 /// A start decision from one scheduling cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartedJob {
@@ -86,35 +115,35 @@ pub struct StartedJob {
 struct Running {
     job: JobId,
     user: String,
-    demand: Demand,
+    demand: ResourceRow,
     expected_end: SimTime,
     node_count: u32,
     started: SimTime,
 }
 
-/// The one availability-profile builder: current free capacity plus the
-/// expected release of every running job, its demand borrowed.
+/// The one availability-profile builder: free capacity plus the expected
+/// release of every running job, its demand row borrowed.
 fn build_profile(
     running: &BTreeMap<AllocationId, Running>,
-    cluster: &Cluster,
+    free: &ResourceRow,
     now: SimTime,
 ) -> Profile {
     let releases = running.values().map(|r| (r.expected_end, &r.demand));
-    Profile::build(now, Demand::free_of(cluster), releases)
+    Profile::build(now, free, releases)
 }
 
 /// A scheduling cycle's availability [`Profile`], built on first use.
 ///
 /// [`QueuePolicy::admit`] and [`QueuePolicy::held`] receive one of these
 /// instead of a built profile. The first [`get`](ProfileCell::get) in a
-/// cycle builds the profile from the live cluster and the running set,
+/// cycle builds the profile from the cycle's free row and the running set,
 /// exactly as [`BatchScheduler::availability_profile`] does; later calls
 /// in the same cycle return that profile with every reservation carved
 /// into it since. A policy that never calls `get` (FCFS, or EASY while
 /// every job starts) costs the cycle no profile at all.
 ///
 /// Building late changes no decision. A job that starts before the build
-/// has already taken its demand `d` out of the live cluster and joined
+/// has already taken its demand `d` out of the free row and joined
 /// the running set with its release at `now + walltime`, so the build
 /// reads `F − d` before that instant and `F` after it: what building
 /// first and reserving `d` over `[now, now + walltime)` gives, since
@@ -122,7 +151,7 @@ fn build_profile(
 pub struct ProfileCell<'c> {
     slot: &'c mut Option<Profile>,
     running: &'c BTreeMap<AllocationId, Running>,
-    cluster: &'c Cluster,
+    free: &'c ResourceRow,
     now: SimTime,
     probe: &'c mut dyn CycleProbe,
 }
@@ -131,14 +160,14 @@ impl<'c> ProfileCell<'c> {
     fn new(
         slot: &'c mut Option<Profile>,
         running: &'c BTreeMap<AllocationId, Running>,
-        cluster: &'c Cluster,
+        free: &'c ResourceRow,
         now: SimTime,
         probe: &'c mut dyn CycleProbe,
     ) -> Self {
         ProfileCell {
             slot,
             running,
-            cluster,
+            free,
             now,
             probe,
         }
@@ -151,12 +180,12 @@ impl<'c> ProfileCell<'c> {
         let ProfileCell {
             slot,
             running,
-            cluster,
+            free,
             now,
             probe,
         } = self;
         slot.get_or_insert_with(|| {
-            let profile = build_profile(running, cluster, *now);
+            let profile = build_profile(running, free, *now);
             probe.profile_built(profile.segments());
             profile
         })
@@ -186,7 +215,7 @@ pub struct BatchScheduler {
     policy: Box<dyn QueuePolicy>,
     spec: Option<PolicySpec>,
     priority: PriorityCalculator,
-    pending: Vec<PendingJob>,
+    pending: Vec<QueuedJob>,
     running: BTreeMap<AllocationId, Running>,
     total_started: u64,
     total_finished: u64,
@@ -258,7 +287,7 @@ impl BatchScheduler {
     /// The queued jobs, in the order the policy last left them (after a
     /// [`try_schedule`](BatchScheduler::try_schedule) this is the
     /// policy's preference order with the started jobs removed).
-    pub fn pending(&self) -> &[PendingJob] {
+    pub fn pending(&self) -> &[QueuedJob] {
         &self.pending
     }
 
@@ -290,10 +319,13 @@ impl BatchScheduler {
     /// and for asserting backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
     pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
-        build_profile(&self.running, cluster, now)
+        build_profile(&self.running, &cluster.free_row(), now)
     }
 
-    /// Enqueues a job.
+    /// Enqueues a job, computing its demand row
+    /// ([`Cluster::demand_row`]) in the pass that checks it against the
+    /// machine's total capacity; no later phase looks at its request's
+    /// partition or gres names until it starts.
     ///
     /// # Errors
     ///
@@ -306,7 +338,7 @@ impl BatchScheduler {
         if job.walltime.is_zero() {
             return Err(SchedError::ZeroWalltime { job: job.id });
         }
-        if let Some(shortfall) = cluster.capacity_shortfall(&job.request) {
+        let demand = cluster.demand_row(&job.request).map_err(|shortfall| {
             let reason = match shortfall {
                 Shortfall::Nodes { .. } => "demand exceeds total machine capacity",
                 Shortfall::Gres => {
@@ -314,12 +346,12 @@ impl BatchScheduler {
                 }
                 Shortfall::Invalid => "request asks for nothing or names an unknown partition",
             };
-            return Err(SchedError::ImpossibleRequest {
+            SchedError::ImpossibleRequest {
                 job: job.id,
                 reason: reason.to_string(),
-            });
-        }
-        self.pending.push(job);
+            }
+        })?;
+        self.pending.push(QueuedJob { job, demand });
         Ok(())
     }
 
@@ -367,52 +399,57 @@ impl BatchScheduler {
         if self.pending.is_empty() {
             return Vec::new();
         }
+        // The cycle's free capacity: read once, then reduced by each start
+        // (nothing else touches the cluster until the cycle ends).
+        let mut free = cluster.free_row();
         probe.cycle_start(now, self.pending.len());
         probe.phase_start(CyclePhase::Order);
-        self.policy
-            .begin_cycle(&SchedCtx::new(now, cluster, &self.priority));
-        self.policy.order(
-            &mut self.pending,
-            &SchedCtx::new(now, cluster, &self.priority),
-        );
+        let ctx = SchedCtx::new(now, cluster, &free, &self.priority);
+        self.policy.begin_cycle(&ctx);
+        self.policy.order(&mut self.pending, &ctx);
         probe.phase_end(CyclePhase::Order);
 
         let mut profile: Option<Profile> = None;
         let mut started = Vec::new();
-        let mut still_pending: Vec<PendingJob> = Vec::new();
+        let mut still_pending: Vec<QueuedJob> = Vec::new();
 
-        for job in std::mem::take(&mut self.pending) {
-            let demand = Demand::of_request(&job.request);
+        for queued in std::mem::take(&mut self.pending) {
             probe.phase_start(CyclePhase::Admit);
             let verdict = self.policy.admit(
-                &job,
-                &demand,
-                &mut ProfileCell::new(&mut profile, &self.running, cluster, now, probe),
-                &SchedCtx::new(now, cluster, &self.priority),
+                &queued,
+                &mut ProfileCell::new(&mut profile, &self.running, &free, now, probe),
+                &SchedCtx::new(now, cluster, &free, &self.priority),
             );
             probe.phase_end(CyclePhase::Admit);
             match verdict {
                 Verdict::Start => {
                     probe.phase_start(CyclePhase::Allocate);
-                    let granted = cluster.allocate(&job.request, now);
+                    let granted = cluster.allocate(&queued.request, now);
                     probe.phase_end(CyclePhase::Allocate);
                     match granted {
                         Ok(alloc) => {
+                            queued.demand.take_from(&mut free);
+                            debug_assert_eq!(
+                                free,
+                                cluster.free_row(),
+                                "the cycle's free row drifted from the cluster"
+                            );
                             // An unbuilt profile needs no reservation: its
-                            // build reads the free capacity this start
-                            // already took, and the job's release at its
+                            // build reads the free row this start already
+                            // reduced, and the job's release at its
                             // walltime end from the running set.
                             if let Some(profile) = profile.as_mut() {
-                                profile.reserve(&demand, now, job.walltime);
+                                profile.reserve(&queued.demand, now, queued.walltime);
                             }
+                            let QueuedJob { job, demand } = queued;
                             self.running.insert(
                                 alloc,
                                 Running {
                                     job: job.id,
-                                    user: job.user.clone(),
+                                    node_count: Self::nodes_of(&job),
+                                    user: job.user,
                                     demand,
                                     expected_end: now + job.walltime,
-                                    node_count: Self::nodes_of(&job),
                                     started: now,
                                 },
                             );
@@ -424,23 +461,22 @@ impl BatchScheduler {
                             // The policy said start but the live cluster
                             // disagrees: treat as held, blaming the shortage
                             // the same live check every policy uses names.
-                            let reason = SchedCtx::new(now, cluster, &self.priority)
-                                .hold_reason(&job.request);
-                            self.last_holds.push((job.id, reason));
+                            let reason = SchedCtx::new(now, cluster, &free, &self.priority)
+                                .hold_reason(&queued.demand);
+                            self.last_holds.push((queued.id, reason));
                         }
                     }
                 }
                 Verdict::Hold(reason) => {
-                    self.last_holds.push((job.id, reason));
+                    self.last_holds.push((queued.id, reason));
                 }
             }
             self.policy.held(
-                &job,
-                &demand,
-                &mut ProfileCell::new(&mut profile, &self.running, cluster, now, probe),
-                &SchedCtx::new(now, cluster, &self.priority),
+                &queued,
+                &mut ProfileCell::new(&mut profile, &self.running, &free, now, probe),
+                &SchedCtx::new(now, cluster, &free, &self.priority),
             );
-            still_pending.push(job);
+            still_pending.push(queued);
         }
         self.pending = still_pending;
         probe.cycle_end(started.len(), self.pending.len());
@@ -785,11 +821,10 @@ mod tests {
             fn name(&self) -> &str {
                 "admit-nothing"
             }
-            fn order(&mut self, _queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {}
+            fn order(&mut self, _queue: &mut [QueuedJob], _ctx: &SchedCtx<'_>) {}
             fn admit(
                 &mut self,
-                _job: &PendingJob,
-                _demand: &Demand,
+                _job: &QueuedJob,
                 _profile: &mut ProfileCell<'_>,
                 _ctx: &SchedCtx<'_>,
             ) -> Verdict {
@@ -818,11 +853,10 @@ mod tests {
             fn name(&self) -> &str {
                 "always-start"
             }
-            fn order(&mut self, _queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {}
+            fn order(&mut self, _queue: &mut [QueuedJob], _ctx: &SchedCtx<'_>) {}
             fn admit(
                 &mut self,
-                _job: &PendingJob,
-                _demand: &Demand,
+                _job: &QueuedJob,
                 _profile: &mut ProfileCell<'_>,
                 _ctx: &SchedCtx<'_>,
             ) -> Verdict {
@@ -861,7 +895,8 @@ mod tests {
         s.submit(job(0, 6, 100, 0), &c).unwrap();
         assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
         let p = s.availability_profile(&c, SimTime::ZERO);
-        assert_eq!(p.free_at(SimTime::from_secs(50)).nodes_in("classical"), 4);
-        assert_eq!(p.free_at(SimTime::from_secs(100)).nodes_in("classical"), 10);
+        let classical = c.node_slot("classical").unwrap();
+        assert_eq!(p.free_at(SimTime::from_secs(50))[classical], 4);
+        assert_eq!(p.free_at(SimTime::from_secs(100))[classical], 10);
     }
 }

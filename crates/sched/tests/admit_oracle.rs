@@ -17,8 +17,8 @@ use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::ClusterError;
 use hpcqc_sched::{
-    BatchScheduler, Demand, Discipline, HoldReason, PendingJob, PolicySpec, ProfileCell,
-    QueuePolicy, SchedCtx, Verdict,
+    BatchScheduler, Discipline, HoldReason, PolicySpec, ProfileCell, QueuePolicy, QueuedJob,
+    SchedCtx, Verdict,
 };
 use hpcqc_simcore::time::SimTime;
 use proptest::prelude::*;
@@ -88,28 +88,28 @@ impl QueuePolicy for OracleAdmit {
         self.ordering.begin_cycle(ctx);
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         self.ordering.order(queue, ctx);
     }
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         let cluster = ctx.cluster();
         let now = ctx.now();
+        let demand = job.demand();
         let fits = |request: &AllocRequest| cluster.can_allocate(request).is_ok();
         // The oracle also pins the public diagnosis helpers to the chain.
         assert_eq!(
-            ctx.hold_reason(&job.request),
+            ctx.hold_reason(demand),
             oracle_hold_reason(cluster, &job.request),
             "SchedCtx::hold_reason drifted for {:?}",
             job.request
         );
-        assert_eq!(ctx.can_allocate(&job.request), fits(&job.request));
+        assert_eq!(ctx.can_allocate(demand), fits(&job.request));
         let profile = profile.get();
         match self.discipline {
             Discipline::Fcfs => {
@@ -151,13 +151,7 @@ impl QueuePolicy for OracleAdmit {
         }
     }
 
-    fn held(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut ProfileCell<'_>,
-        ctx: &SchedCtx<'_>,
-    ) {
+    fn held(&mut self, job: &QueuedJob, profile: &mut ProfileCell<'_>, ctx: &SchedCtx<'_>) {
         match self.discipline {
             Discipline::Fcfs => self.blocked = true,
             Discipline::ConservativeBackfill => {}
@@ -165,9 +159,9 @@ impl QueuePolicy for OracleAdmit {
                 if !self.blocked {
                     self.blocked = true;
                     let profile = profile.get();
-                    let shadow = profile.find_slot(demand, job.walltime, ctx.now());
+                    let shadow = profile.find_slot(job.demand(), job.walltime, ctx.now());
                     if shadow != SimTime::MAX {
-                        profile.reserve(demand, shadow, job.walltime);
+                        profile.reserve(job.demand(), shadow, job.walltime);
                     }
                 }
             }

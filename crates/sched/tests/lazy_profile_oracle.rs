@@ -12,7 +12,7 @@ mod common;
 
 use common::{all_policies, op, shape, Lockstep, Op};
 use hpcqc_sched::{
-    BatchScheduler, Demand, PendingJob, PolicySpec, ProfileCell, QueuePolicy, SchedCtx, Verdict,
+    BatchScheduler, PolicySpec, ProfileCell, QueuePolicy, QueuedJob, SchedCtx, Verdict,
 };
 use proptest::prelude::*;
 
@@ -34,14 +34,13 @@ impl QueuePolicy for Eager {
         self.inner.begin_cycle(ctx);
     }
 
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
+    fn order(&mut self, queue: &mut [QueuedJob], ctx: &SchedCtx<'_>) {
         self.inner.order(queue, ctx);
     }
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        demand: &Demand,
+        job: &QueuedJob,
         profile: &mut ProfileCell<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
@@ -49,17 +48,11 @@ impl QueuePolicy for Eager {
             profile.get();
             self.built = true;
         }
-        self.inner.admit(job, demand, profile, ctx)
+        self.inner.admit(job, profile, ctx)
     }
 
-    fn held(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut ProfileCell<'_>,
-        ctx: &SchedCtx<'_>,
-    ) {
-        self.inner.held(job, demand, profile, ctx);
+    fn held(&mut self, job: &QueuedJob, profile: &mut ProfileCell<'_>, ctx: &SchedCtx<'_>) {
+        self.inner.held(job, profile, ctx);
     }
 }
 

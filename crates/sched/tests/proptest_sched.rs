@@ -10,8 +10,8 @@ use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_cluster::ids::AllocationId;
-use hpcqc_sched::scheduler::{BatchScheduler, PendingJob};
-use hpcqc_sched::{Demand, PolicySpec};
+use hpcqc_sched::scheduler::{BatchScheduler, PendingJob, QueuedJob};
+use hpcqc_sched::PolicySpec;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::job::JobId;
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ fn shadow_of(
     now: SimTime,
 ) -> SimTime {
     sched.availability_profile(cluster, now).find_slot(
-        &Demand::of_request(&head.request),
+        &cluster.demand_row(&head.request).unwrap(),
         head.walltime,
         now,
     )
@@ -116,7 +116,7 @@ fn conservative_plan(
     cluster: &Cluster,
     now: SimTime,
 ) -> Vec<(u64, SimTime)> {
-    let mut queue: Vec<PendingJob> = sched.pending().to_vec();
+    let mut queue: Vec<QueuedJob> = sched.pending().to_vec();
     queue.sort_by(|a, b| {
         sched
             .priority_of(b, now)
@@ -127,10 +127,9 @@ fn conservative_plan(
     let mut profile = sched.availability_profile(cluster, now);
     let mut plan = Vec::with_capacity(queue.len());
     for job in &queue {
-        let demand = Demand::of_request(&job.request);
-        let slot = profile.find_slot(&demand, job.walltime, now);
+        let slot = profile.find_slot(job.demand(), job.walltime, now);
         if slot != SimTime::MAX {
-            profile.reserve(&demand, slot, job.walltime);
+            profile.reserve(job.demand(), slot, job.walltime);
         }
         plan.push((job.id.raw(), slot));
     }

@@ -89,6 +89,26 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The usage block of one subcommand: its lines of [`USAGE`], followed by
+/// the value legend when it takes a strategy, device, policy or route.
+fn subcommand_usage(command: &str) -> Option<String> {
+    let head = format!("hpcqc-sim {command} ");
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with(&head));
+    let first = lines.next()?;
+    let mut text = format!("usage:\n{first}\n");
+    for line in lines.take_while(|l| l.starts_with("    ")) {
+        text += line;
+        text.push('\n');
+    }
+    if text.contains("--strategy") {
+        let legend = USAGE.split_once("\n\n").map_or("", |(_, legend)| legend);
+        text = format!("{text}\n{legend}\n");
+    }
+    Some(text)
+}
+
 /// Every strategy form the CLI accepts, as shown in errors.
 const STRATEGY_FORMS: &str = "co-schedule | workflow | vqpu:N | malleable:N | adaptive[:N]";
 /// Bare strategy names, for "did you mean" hints against the typed word.
@@ -653,7 +673,7 @@ fn run(args: &[String]) -> ExitCode {
                 }
                 None => usage(),
             },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
+            "--nodes" => match it.next().and_then(|v| v.parse().ok()).filter(|n| *n > 0) {
                 Some(n) => nodes = Some(n),
                 None => {
                     eprintln!("--nodes needs a positive node count");
@@ -838,6 +858,12 @@ fn run(args: &[String]) -> ExitCode {
             eprintln!("invalid scenario fleet: {e}");
             return ExitCode::FAILURE;
         }
+    }
+    // A scenario file can also describe a machine with no classical
+    // nodes or no QPU, which `--nodes` (a positive count) cannot.
+    if let Err(e) = scenario.validate() {
+        eprintln!("invalid scenario: {e}");
+        return ExitCode::from(2);
     }
     if let Some(path) = faults_path {
         match load_faults(&path) {
@@ -1048,7 +1074,7 @@ fn explain(args: &[String]) -> ExitCode {
                 }
                 None => usage(),
             },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
+            "--nodes" => match it.next().and_then(|v| v.parse().ok()).filter(|n| *n > 0) {
                 Some(n) => nodes = Some(n),
                 None => {
                     eprintln!("--nodes needs a positive node count");
@@ -1207,6 +1233,12 @@ fn explain(args: &[String]) -> ExitCode {
             eprintln!("invalid scenario fleet: {e}");
             return ExitCode::FAILURE;
         }
+    }
+    // A scenario file can also describe a machine with no classical
+    // nodes or no QPU, which `--nodes` (a positive count) cannot.
+    if let Err(e) = scenario.validate() {
+        eprintln!("invalid scenario: {e}");
+        return ExitCode::from(2);
     }
     if let Some(path) = faults_path {
         match load_faults(&path) {
@@ -1787,6 +1819,14 @@ fn advise(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(text) = args
+        .first()
+        .filter(|_| args[1..].iter().any(|a| a == "--help" || a == "-h"))
+        .and_then(|command| subcommand_usage(command))
+    {
+        print!("{text}");
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("generate") => generate(&args[1..]),
         Some("gen") => gen(&args[1..]),

@@ -735,3 +735,73 @@ fn faults_subcommand_requires_exactly_one_source() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--plan"), "{stderr}");
 }
+
+#[test]
+fn every_subcommand_answers_help_with_its_usage_block() {
+    for command in [
+        "run", "sweep", "explain", "gen", "devices", "faults", "advise",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+                .args([command, flag])
+                .output()
+                .expect("hpcqc-sim runs");
+            assert!(out.status.success(), "{command} {flag}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.starts_with("usage:\n") && stdout.contains(&format!("hpcqc-sim {command} ")),
+                "{command} {flag} printed no usage block: {stdout}"
+            );
+            let others = stdout.matches("hpcqc-sim ").count();
+            assert_eq!(others, 1, "{command} {flag} printed other blocks: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn zero_nodes_is_a_usage_error_not_a_panic() {
+    for command in ["run", "explain"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args([command, "--nodes", "0", "--workload"])
+            .arg(contended_workload())
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--nodes needs a positive node count"),
+            "{command}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn scenario_file_with_zero_classical_nodes_is_rejected() {
+    use hpcqc::prelude::*;
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_zeronodes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = Scenario {
+        classical_nodes: 0,
+        ..Scenario::default()
+    };
+    let path = dir.join("empty.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+    for command in ["run", "explain"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args([command, "--workload"])
+            .arg(contended_workload())
+            .arg("--scenario")
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid scenario: scenario needs classical nodes"),
+            "{command}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
